@@ -28,7 +28,7 @@ use cr_spectre_workloads::host::standalone_image;
 use cr_spectre_workloads::mibench::Mibench;
 
 use crate::attack::{run_cr_spectre, run_standalone_spectre, AttackConfig, AttackOutcome};
-use crate::parallel::{default_threads, derive_seed, par_map, par_map_indices};
+use crate::parallel::{default_threads, derive_seed, par_join, par_map, par_map_indices};
 use crate::perturb::{PerturbParams, VariantGenerator};
 use crate::spectre::SpectreVariant;
 
@@ -448,6 +448,13 @@ pub fn fig5(cfg: &CampaignConfig) -> EvasionResult {
 /// Panel (b) is the full defense-aware loop of Figure 3: when any HID
 /// detects the current variant (>80 %), the attacker mutates the
 /// perturbation parameters before the next attempt.
+///
+/// Both panels start from the same four freshly trained online HIDs, so
+/// they are trained once and panel (b) gets clones. After the plain
+/// Spectre traces are simulated, panel (a)'s score-then-retrain folds
+/// and panel (b)'s attempt chain run side by side ([`par_join`]): they
+/// share only read-only inputs, so the result is the same as running
+/// them one after the other, which is what `threads == 1` does.
 pub fn fig6(cfg: &CampaignConfig) -> EvasionResult {
     let mut driver_span = telemetry::span("campaign.fig6");
     driver_span.field("threads", cfg.threads).field("attempts", cfg.attempts);
@@ -459,13 +466,10 @@ pub fn fig6(cfg: &CampaignConfig) -> EvasionResult {
     noise.apply(&mut training.x, cfg.seed, streams::FIG6_TRAIN);
     drop(phase);
 
-    // Panel (a): online HIDs vs plain Spectre. Each detector's
-    // score-then-retrain chain over the attempts is a serial fold, but
-    // the four detectors never read each other's state — so the attack
-    // traces fan out first, then each detector folds on its own worker.
     let hids: Vec<Hid> = par_map(HidKind::ALL.to_vec(), cfg.threads, |kind| {
         Hid::train(kind, HidMode::Online, training.clone())
     });
+    let cr_hids = hids.clone();
     let attempt_rows = par_map_indices(cfg.attempts, cfg.threads, |attempt| {
         let mut trial_span = telemetry::span("fig6.spectre_attempt");
         trial_span.field("attempt", attempt);
@@ -475,29 +479,51 @@ pub fn fig6(cfg: &CampaignConfig) -> EvasionResult {
         noise.apply(&mut rows, cfg.seed, streams::FIG6_SPECTRE + attempt as u64);
         rows
     });
-    let spectre_score_phase = telemetry::span("fig6.score_spectre");
-    let mut spectre_series = init_series();
-    let folded = par_map(hids, cfg.threads, |mut hid| {
+    let (spectre_series, cr_series) = par_join(
+        cfg.threads,
+        |threads| fig6_spectre_panel(hids, &attempt_rows, threads),
+        |threads| fig6_cr_panel(cfg, &features, &noise, cr_hids, threads),
+    );
+    EvasionResult { spectre: spectre_series, cr_spectre: cr_series }
+}
+
+/// Figure 6 panel (a): online HIDs vs plain Spectre. Each detector's
+/// score-then-retrain chain over the attempts is a serial fold, but the
+/// four detectors never read each other's state, so each folds on its
+/// own worker.
+fn fig6_spectre_panel(
+    hids: Vec<Hid>,
+    attempt_rows: &[Vec<Vec<f64>>],
+    threads: usize,
+) -> Vec<DetectorSeries> {
+    let _phase = telemetry::span("fig6.score_spectre");
+    let folded = par_map(hids, threads, |mut hid| {
         let mut accuracy = Vec::with_capacity(attempt_rows.len());
-        for rows in &attempt_rows {
+        for rows in attempt_rows {
             accuracy.push(hid.detection_rate(rows));
             // The defender labels the observed windows and retrains.
             hid.observe(rows, Label::Attack);
         }
         accuracy
     });
+    let mut spectre_series = init_series();
     for (series, accuracy) in spectre_series.iter_mut().zip(folded) {
         series.accuracy = accuracy;
     }
-    drop(spectre_score_phase);
+    spectre_series
+}
 
-    // Panel (b): online HIDs vs dynamically perturbed CR-Spectre. The
-    // attempt chain is inherently serial — the next variant depends on
-    // whether this one was detected — but the benign corpus the defender
-    // grows each attempt is a per-application fan-out.
-    let mut hids: Vec<Hid> = par_map(HidKind::ALL.to_vec(), cfg.threads, |kind| {
-        Hid::train(kind, HidMode::Online, training.clone())
-    });
+/// Figure 6 panel (b): online HIDs vs dynamically perturbed CR-Spectre.
+/// The attempt chain is inherently serial — the next variant depends on
+/// whether this one was detected — but the benign corpus the defender
+/// grows each attempt is a per-application fan-out.
+fn fig6_cr_panel(
+    cfg: &CampaignConfig,
+    features: &FeatureSet,
+    noise: &NoiseModel,
+    mut hids: Vec<Hid>,
+    threads: usize,
+) -> Vec<DetectorSeries> {
     let mut cr_series = init_series();
     let mut generator = VariantGenerator::new(cfg.seed);
     let mut variant = generator.next_variant();
@@ -509,30 +535,29 @@ pub fn fig6(cfg: &CampaignConfig) -> EvasionResult {
         attack.machine = cfg.machine.clone();
         attack.sample_interval = jittered_interval(cfg.sample_interval, attempt);
         let outcome = run_cr_spectre(&attack).expect("attack launches");
-        let mut rows = outcome.attack_rows(&features);
+        let mut rows = outcome.attack_rows(features);
         noise.apply(&mut rows, cfg.seed, streams::FIG6_CR + attempt as u64);
         // "The benign applications running on the system are also profiled
         // and fed to the HID" — the defender's corpus keeps growing on
         // both sides, which is what the camouflaged variants exploit.
-        let mut benign_rows: Vec<Vec<f64>> =
-            par_map(BenignApp::ALL.to_vec(), cfg.threads, |app| {
-                let trace = profile_standalone(
-                    &cfg.machine,
-                    &app.image(),
-                    jittered_interval(cfg.sample_interval, attempt + 5),
-                );
-                trace.feature_rows(features.events())
-            })
-            .into_iter()
-            .flatten()
-            .collect();
+        let mut benign_rows: Vec<Vec<f64>> = par_map(BenignApp::ALL.to_vec(), threads, |app| {
+            let trace = profile_standalone(
+                &cfg.machine,
+                &app.image(),
+                jittered_interval(cfg.sample_interval, attempt + 5),
+            );
+            trace.feature_rows(features.events())
+        })
+        .into_iter()
+        .flatten()
+        .collect();
         noise.apply(&mut benign_rows, cfg.seed, streams::FIG6_BENIGN + attempt as u64);
         // Each detector scores and retrains on its own worker: its rate
         // and corpus update depend only on (hid, rows, benign_rows),
         // never on a sibling detector. The adaptation decision
         // aggregates the returned rates in family order afterwards, so
         // the variant chain is unchanged at any thread count.
-        let scored = par_map(std::mem::take(&mut hids), cfg.threads, |mut hid| {
+        let scored = par_map(std::mem::take(&mut hids), threads, |mut hid| {
             let rate = hid.detection_rate(&rows);
             // The defender can only label what it (or the human in the
             // loop) actually flags. A detected or suspicious run (> 55 %)
@@ -570,7 +595,7 @@ pub fn fig6(cfg: &CampaignConfig) -> EvasionResult {
             telemetry::counter("fig6.adaptations", 1);
         }
     }
-    EvasionResult { spectre: spectre_series, cr_spectre: cr_series }
+    cr_series
 }
 
 fn init_series() -> Vec<DetectorSeries> {

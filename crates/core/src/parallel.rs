@@ -3,7 +3,7 @@
 //! Every evaluation artifact of the paper (Figures 4–6, Table I) is a
 //! fan-out of *independent* simulator trials: per-host benign traces,
 //! per-variant Spectre runs, per-attempt CR-Spectre series. This module
-//! provides the two primitives that let [`crate::campaign`] execute
+//! provides the primitives that let [`crate::campaign`] execute
 //! those fan-outs on every available core **without changing a single
 //! output bit**:
 //!
@@ -11,6 +11,8 @@
 //!   input order and propagates worker panics. Work is handed out by an
 //!   atomic cursor, but each result lands in the slot of its input
 //!   index, so the output is independent of scheduling.
+//! * [`par_join`] — two independent jobs side by side, each with its
+//!   share of the worker budget (fig6's two panels).
 //! * [`derive_seed`] — per-trial RNG seed derivation (splitmix64-style
 //!   finalizer). Trials never *share* a generator — each derives its own
 //!   seed from `(base, stream)` — so the random stream a trial sees is a
@@ -164,6 +166,37 @@ where
         .collect()
 }
 
+/// Runs two independent jobs side by side, splitting a `threads`
+/// budget between them, and returns both results.
+///
+/// Each job receives the worker count for its own fan-outs: `a` gets
+/// `threads / 2` and runs on one scoped thread, `b` gets the rest and
+/// runs on the caller's. With `threads == 1` nothing is spawned: `a`
+/// then `b` run serially on the caller with one worker each. Results
+/// are whatever the jobs return, so as long as neither reads the
+/// other's state the pair is identical at every thread count. A panic
+/// in either job resumes on the caller.
+pub fn par_join<A, B, FA, FB>(threads: usize, a: FA, b: FB) -> (A, B)
+where
+    A: Send,
+    FA: FnOnce(usize) -> A + Send,
+    FB: FnOnce(usize) -> B,
+{
+    if threads <= 1 {
+        let ra = a(1);
+        return (ra, b(1));
+    }
+    let share_a = threads / 2;
+    std::thread::scope(|scope| {
+        let job_a = scope.spawn(move || a(share_a));
+        let rb = b(threads - share_a);
+        match job_a.join() {
+            Ok(ra) => (ra, rb),
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
+    })
+}
+
 /// [`par_map`] over `0..count`, the common "fan out by trial index"
 /// shape of the campaign drivers.
 pub fn par_map_indices<U, F>(count: usize, threads: usize, f: F) -> Vec<U>
@@ -240,6 +273,32 @@ mod tests {
     #[test]
     fn par_map_indices_counts_from_zero() {
         assert_eq!(par_map_indices(4, 2, |i| i * 2), vec![0, 2, 4, 6]);
+    }
+
+    #[test]
+    fn par_join_splits_the_budget_and_keeps_results_apart() {
+        let caller = std::thread::current().id();
+        for threads in [1, 2, 3, 8] {
+            let ((ta, id_a), tb) =
+                par_join(threads, |t| (t, std::thread::current().id()), |t| t);
+            if threads == 1 {
+                assert_eq!((ta, tb), (1, 1));
+                assert_eq!(id_a, caller, "threads = 1 spawns nothing");
+            } else {
+                assert_eq!(ta + tb, threads, "threads = {threads}");
+                assert!(ta >= 1 && tb >= ta, "threads = {threads}: {ta} + {tb}");
+                assert_ne!(id_a, caller, "threads = {threads} overlaps the jobs");
+            }
+        }
+    }
+
+    #[test]
+    fn par_join_propagates_panics_from_the_spawned_job() {
+        let result = std::panic::catch_unwind(|| {
+            par_join(2, |_| -> u32 { panic!("panel a exploded") }, |t| t)
+        });
+        let payload = result.expect_err("panic must propagate");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"panel a exploded"));
     }
 
     #[test]

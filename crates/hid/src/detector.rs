@@ -20,8 +20,10 @@ pub const DETECTED_THRESHOLD: f64 = 0.80;
 /// A binary attack/benign classifier.
 ///
 /// `Send + Sync` so trained detectors (and the [`Hid`] wrapping them)
-/// can be scored from the campaign engine's worker threads.
-pub trait Detector: std::fmt::Debug + Send + Sync {
+/// can be scored from the campaign engine's worker threads;
+/// [`CloneDetector`] so a trained [`Hid`] can be copied instead of
+/// trained twice.
+pub trait Detector: std::fmt::Debug + Send + Sync + CloneDetector {
     /// Model display name (paper legend).
     fn name(&self) -> &'static str;
 
@@ -86,6 +88,25 @@ pub trait Detector: std::fmt::Debug + Send + Sync {
     }
 }
 
+/// Object-safe cloning of boxed detectors, trained state included.
+/// Every `Clone` detector gets it for free.
+pub trait CloneDetector {
+    /// A boxed copy of this detector.
+    fn clone_box(&self) -> Box<dyn Detector>;
+}
+
+impl<T: Detector + Clone + 'static> CloneDetector for T {
+    fn clone_box(&self) -> Box<dyn Detector> {
+        Box::new(self.clone())
+    }
+}
+
+impl Clone for Box<dyn Detector> {
+    fn clone(&self) -> Box<dyn Detector> {
+        self.clone_box()
+    }
+}
+
 /// The classifier families evaluated in the paper (Figures 5 and 6
 /// legends: MLP \[2\], NN \[4\], LR and SVM \[3\]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -142,8 +163,9 @@ pub enum HidMode {
 }
 
 /// A deployed hardware-assisted intrusion detector: model + normalizer +
-/// (for online mode) the growing training corpus.
-#[derive(Debug)]
+/// (for online mode) the growing training corpus. A clone is an
+/// independent detector in the same trained state.
+#[derive(Debug, Clone)]
 pub struct Hid {
     kind: HidKind,
     mode: HidMode,
@@ -304,13 +326,16 @@ impl Hid {
             return;
         }
         let mut span = telemetry::span("hid.retrain");
-        span.field("kind", self.kind.name()).field("corpus", self.corpus.len());
         let observed = self.corpus.len() - self.initial_len;
-        if observed > self.observed_cap {
-            let drop = observed - self.observed_cap;
-            self.corpus.x.drain(self.initial_len..self.initial_len + drop);
-            self.corpus.y.drain(self.initial_len..self.initial_len + drop);
+        let trimmed = observed.saturating_sub(self.observed_cap);
+        if trimmed > 0 {
+            self.corpus.x.drain(self.initial_len..self.initial_len + trimmed);
+            self.corpus.y.drain(self.initial_len..self.initial_len + trimmed);
         }
+        // `corpus` is the size the model is fitted on, after the trim.
+        span.field("kind", self.kind.name())
+            .field("corpus", self.corpus.len())
+            .field("trimmed", trimmed);
         self.normalizer = Normalizer::fit(&self.corpus.x);
         let x = normalized_mat(&self.normalizer, &self.corpus);
         fit_timed(self.model.as_mut(), &x, &self.corpus.y);
@@ -333,10 +358,11 @@ fn normalized_mat(normalizer: &Normalizer, corpus: &Dataset) -> Mat {
 }
 
 /// Runs `model.fit_mat` under the training-throughput telemetry: a
-/// `hid.train.rows_per_sec` counter (corpus rows per wall-clock second
-/// of the full fit) inside whichever `hid.train` / `hid.retrain` span
-/// is active. Observation only — the fit itself is identical with
-/// telemetry on or off.
+/// `hid.train.rows_per_sec` histogram sample (corpus rows per
+/// wall-clock second of the full fit — a rate, so it is never summed)
+/// inside whichever `hid.train` / `hid.retrain` span is active.
+/// Observation only — the fit itself is identical with telemetry on or
+/// off.
 fn fit_timed(model: &mut dyn Detector, x: &Mat, y: &[u8]) {
     if !telemetry::enabled() {
         model.fit_mat(x, y);
@@ -346,7 +372,7 @@ fn fit_timed(model: &mut dyn Detector, x: &Mat, y: &[u8]) {
     model.fit_mat(x, y);
     let wall = t0.elapsed().as_secs_f64();
     if wall > 0.0 {
-        telemetry::counter("hid.train.rows_per_sec", (x.rows() as f64 / wall) as u64);
+        telemetry::histogram("hid.train.rows_per_sec", x.rows() as f64 / wall);
     }
 }
 

@@ -8,15 +8,17 @@
 //!   floating-point evaluation order;
 //! * the flat math core ([`Mat`], [`Scratch`], [`gemm_nt`],
 //!   [`matvec_into`]) the detector fast paths run on: one contiguous
-//!   row-major allocation per matrix, cache-blocked GEMM, and a buffer
-//!   arena so training epochs allocate nothing.
+//!   row-major allocation per matrix, cache-blocked GEMM over one
+//!   lockstep dot-product kernel, and a buffer arena so training epochs
+//!   allocate nothing.
 //!
 //! **Bit-exactness contract:** every element any flat routine produces
-//! is computed by the *same* inner k-order fold as [`dot`] — blocking
-//! only reorders which (row, column) pairs are visited, never the
-//! additions inside one pair. `crates/hid/tests/fastmath_equivalence.rs`
-//! and the proptests in `crates/hid/tests/props.rs` lock this in
-//! against the seed implementations.
+//! is computed by the *same* inner k-order fold as [`dot`], from the
+//! same starting value — blocking and lockstep lanes only reorder which
+//! (row, column) pairs are visited, never the additions inside one
+//! pair. `crates/hid/tests/fastmath_equivalence.rs` and the proptests
+//! in `crates/hid/tests/props.rs` lock this in against the seed
+//! implementations.
 
 /// Dot product of two equal-length slices.
 ///
@@ -174,12 +176,60 @@ impl Mat {
 /// hidden layers) resident in L1 while the full-k inner loop runs.
 const GEMM_BLOCK: usize = 32;
 
+/// Rows the lockstep kernel folds side by side: enough independent
+/// add chains to cover the FP adder's latency.
+const LANES: usize = 4;
+
+/// The starting value of every fold: `Iterator::<f64>::sum`'s identity,
+/// the value [`dot`] starts from (`-0.0` on current toolchains, so an
+/// all-`-0.0` product sum stays `-0.0`). Taken from the empty sum
+/// itself, so the kernels can never drift from [`dot`].
+pub(crate) fn sum_identity() -> f64 {
+    std::iter::empty::<f64>().sum()
+}
+
+/// The lockstep dot-product kernel: `out[r] = dot(rows[r], x)` for the
+/// `out.len()` rows packed row-major in `rows`.
+///
+/// A single [`dot`] is one serial add chain, bound by the adder's
+/// latency. Here [`LANES`] rows advance through k together, each lane a
+/// chain of its own, so the adds overlap. Every lane starts from
+/// [`sum_identity`] and adds `row[t] * x[t]` in ascending `t` — exactly
+/// [`dot`]'s fold — so each element is bit-identical to [`dot`]. Rows
+/// left over after the last full group go through [`dot`] itself.
+fn matvec_lanes(rows: &[f64], x: &[f64], out: &mut [f64]) {
+    let k = x.len();
+    debug_assert_eq!(rows.len(), out.len() * k, "kernel shape mismatch");
+    let full = out.len() - out.len() % LANES;
+    let (grouped, tail) = out.split_at_mut(full);
+    for (g, o) in grouped.chunks_exact_mut(LANES).enumerate() {
+        let block = &rows[g * LANES * k..(g + 1) * LANES * k];
+        let (r0, rest) = block.split_at(k);
+        let (r1, rest) = rest.split_at(k);
+        let (r2, r3) = rest.split_at(k);
+        let (mut a0, mut a1, mut a2, mut a3) =
+            (sum_identity(), sum_identity(), sum_identity(), sum_identity());
+        for t in 0..k {
+            let xv = x[t];
+            a0 += r0[t] * xv;
+            a1 += r1[t] * xv;
+            a2 += r2[t] * xv;
+            a3 += r3[t] * xv;
+        }
+        o.copy_from_slice(&[a0, a1, a2, a3]);
+    }
+    for (r, o) in (full..).zip(tail) {
+        *o = dot(&rows[r * k..(r + 1) * k], x);
+    }
+}
+
 /// `out = a · bᵀ` — the whole-batch product of two row-major matrices
 /// sharing their inner (k) dimension, i/j-blocked for cache reuse.
 ///
-/// Every output element is exactly `dot(a.row(i), b.row(j))`: the k
-/// loop is never split, so each element's floating-point fold matches
-/// the scalar seed path bit for bit.
+/// Every output element is exactly `dot(a.row(i), b.row(j))`: each
+/// tile row is one call of the lockstep kernel behind [`matvec_into`],
+/// which never splits the k loop, so each element's floating-point
+/// fold matches the scalar seed path bit for bit.
 ///
 /// # Panics
 ///
@@ -188,25 +238,22 @@ pub fn gemm_nt(a: &Mat, b: &Mat, out: &mut Mat) {
     assert_eq!(a.cols(), b.cols(), "gemm_nt inner dimensions differ");
     assert_eq!(out.rows(), a.rows(), "gemm_nt output rows mismatch");
     assert_eq!(out.cols(), b.rows(), "gemm_nt output cols mismatch");
-    let (m, n) = (a.rows(), b.rows());
+    let (m, n, k) = (a.rows(), b.rows(), a.cols());
     for ib in (0..m).step_by(GEMM_BLOCK) {
         let ie = (ib + GEMM_BLOCK).min(m);
         for jb in (0..n).step_by(GEMM_BLOCK) {
             let je = (jb + GEMM_BLOCK).min(n);
+            let b_tile = &b.as_slice()[jb * k..je * k];
             for i in ib..ie {
-                let ar = a.row(i);
-                let or = &mut out.row_mut(i)[jb..je];
-                for (o, j) in or.iter_mut().zip(jb..je) {
-                    // Full-k inner fold: identical order to `dot`.
-                    *o = dot(ar, b.row(j));
-                }
+                matvec_lanes(b_tile, a.row(i), &mut out.row_mut(i)[jb..je]);
             }
         }
     }
 }
 
 /// `out[j] = dot(m.row(j), x)` without allocating — the flat
-/// counterpart of [`matvec`].
+/// counterpart of [`matvec`], computed by the lockstep kernel
+/// (bit-identical to per-row [`dot`]).
 ///
 /// # Panics
 ///
@@ -214,9 +261,7 @@ pub fn gemm_nt(a: &Mat, b: &Mat, out: &mut Mat) {
 pub fn matvec_into(m: &Mat, x: &[f64], out: &mut [f64]) {
     assert_eq!(m.cols(), x.len(), "matvec_into width mismatch");
     assert_eq!(m.rows(), out.len(), "matvec_into output length mismatch");
-    for (o, row) in out.iter_mut().zip(m.iter_rows()) {
-        *o = dot(row, x);
-    }
+    matvec_lanes(m.as_slice(), x, out);
 }
 
 /// A free-list arena of reusable `f64` buffers.
@@ -379,6 +424,23 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn lockstep_folds_start_where_dot_does() {
+        // `[-0.0].iter().sum()` is the identity plus -0.0: -0.0 exactly
+        // when the identity is -0.0, as on current toolchains.
+        let one_term: f64 = [-0.0f64].iter().sum();
+        assert_eq!(sum_identity().to_bits(), one_term.to_bits());
+        // Every product -0.0: only a fold started from `dot`'s identity
+        // reproduces `dot`'s sign, in the lanes and in the tail.
+        let m = Mat::from_vec(vec![-0.0; 6 * 3], 6, 3);
+        let x = [1.0, 2.0, 3.0];
+        let mut out = vec![f64::NAN; 6];
+        matvec_into(&m, &x, &mut out);
+        for v in out {
+            assert_eq!(v.to_bits(), dot(m.row(0), &x).to_bits());
         }
     }
 

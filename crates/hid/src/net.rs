@@ -5,12 +5,14 @@
 //! The implementation runs on the flat math core of [`crate::linalg`]:
 //! each layer's weights are one row-major [`Mat`] (`weights[l]` row `j`
 //! is output unit `j`'s fan-in), training reuses a [`Scratch`]-backed
-//! set of activation/gradient buffers so no epoch allocates, and
-//! [`DenseNet::predict_batch`] forwards the whole batch through
-//! [`gemm_nt`]. Every dot product keeps the seed implementation's inner
-//! k-order, so weights and predictions are bit-identical to the jagged
-//! `Vec<Vec<Vec<f64>>>` original (kept as
-//! [`crate::reference::RefDenseNet`] and locked by
+//! set of activation/gradient buffers so no epoch allocates, each
+//! training sample is forwarded through the lockstep kernel of
+//! [`matvec_into`], and [`DenseNet::predict_batch`] forwards the whole
+//! batch through [`gemm_nt`]. Every dot product keeps the seed
+//! implementation's inner k-order and starting value, and the backward
+//! upstream sums keep the seed's j-order, so weights and predictions
+//! are bit-identical to the jagged `Vec<Vec<Vec<f64>>>` original (kept
+//! as [`crate::reference::RefDenseNet`] and locked by
 //! `tests/fastmath_equivalence.rs`).
 
 use cr_spectre_telemetry as telemetry;
@@ -19,7 +21,9 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use crate::detector::Detector;
-use crate::linalg::{dot, gemm_nt, relu, relu_grad, sigmoid, Mat, Scratch};
+use crate::linalg::{
+    gemm_nt, matvec_into, relu, relu_grad, sigmoid, sum_identity, Mat, Scratch,
+};
 
 /// A dense network with ReLU hidden layers and a single sigmoid output,
 /// trained with per-sample SGD on binary cross-entropy.
@@ -138,8 +142,9 @@ impl DenseNet {
                 (&lo[l], &mut hi[0])
             };
             let z = &mut s.zs[l];
-            for j in 0..w.rows() {
-                z[j] = dot(w.row(j), input) + b[j];
+            matvec_into(w, input, z);
+            for (zj, bj) in z.iter_mut().zip(b) {
+                *zj += bj;
             }
             if l == layers - 1 {
                 for (a, &v) in output.iter_mut().zip(z.iter()) {
@@ -166,23 +171,41 @@ impl DenseNet {
         s.delta.clear();
         s.delta.push(p - target);
         for l in (0..layers).rev() {
-            // Propagate first (reading the pre-update weights), then
-            // take the gradient step — the seed's order.
-            let w = &self.weights[l];
+            // Propagate through the pre-update weights, then take the
+            // gradient step — the seed's order. Both happen in one pass
+            // over each weight row: `w[j][i]` is read into the upstream
+            // sum just before its own update. The upstream sums
+            // accumulate column-wise, over j in ascending order from
+            // `dot`'s starting value, so each `prev_delta[i]` is the
+            // seed's `Σ_j d_j · w[j][i]` fold bit for bit, without the
+            // strided column walk.
+            let propagate = l > 0;
+            let (w, bias, input) = (&mut self.weights[l], &mut self.biases[l], &s.acts[l]);
             s.prev_delta.clear();
-            if l > 0 {
-                for i in 0..w.cols() {
-                    let upstream: f64 =
-                        s.delta.iter().enumerate().map(|(j, d)| d * w.row(j)[i]).sum();
-                    s.prev_delta.push(upstream * relu_grad(s.zs[l - 1][i]));
-                }
+            if propagate {
+                s.prev_delta.resize(w.cols(), sum_identity());
             }
-            let w = &mut self.weights[l];
-            for (j, d) in s.delta.iter().enumerate() {
-                for (wv, &a) in w.row_mut(j).iter_mut().zip(&s.acts[l]) {
-                    *wv -= self.learning_rate * d * a;
+            for (j, &d) in s.delta.iter().enumerate() {
+                // `lr * d * a` parses as `(lr * d) * a`: hoisting the
+                // step changes no bit.
+                let step = self.learning_rate * d;
+                let row = w.row_mut(j);
+                if propagate {
+                    for ((up, wv), &a) in s.prev_delta.iter_mut().zip(row).zip(input) {
+                        *up += d * *wv;
+                        *wv -= step * a;
+                    }
+                } else {
+                    for (wv, &a) in row.iter_mut().zip(input) {
+                        *wv -= step * a;
+                    }
                 }
-                self.biases[l][j] -= self.learning_rate * d;
+                bias[j] -= step;
+            }
+            if propagate {
+                for (up, &z) in s.prev_delta.iter_mut().zip(&s.zs[l - 1]) {
+                    *up *= relu_grad(z);
+                }
             }
             std::mem::swap(&mut s.delta, &mut s.prev_delta);
         }

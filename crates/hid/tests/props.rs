@@ -4,16 +4,17 @@ use proptest::prelude::*;
 
 use cr_spectre_hid::detector::{Detector, Hid, HidKind, HidMode};
 use cr_spectre_hid::linalg::{dot, gemm_nt, matvec_into, sigmoid, Mat};
+use cr_spectre_hid::reference::RefDenseNet;
 use cr_spectre_hid::{DenseNet, LinearSvm, LogisticRegression};
 use cr_spectre_hpc::dataset::{Dataset, Label};
 
-fn separable(n: usize, sep: f64, seed: u64) -> Dataset {
+fn separable(n: usize, dim: usize, sep: f64, seed: u64) -> Dataset {
     let mut d = Dataset::new();
     let mut state = seed | 1;
     for i in 0..n {
         let label = if i % 2 == 0 { Label::Benign } else { Label::Attack };
         let center = if i % 2 == 0 { -sep } else { sep };
-        let row = (0..3)
+        let row = (0..dim)
             .map(|_| {
                 state ^= state << 13;
                 state ^= state >> 7;
@@ -56,7 +57,7 @@ proptest! {
     /// accuracy regardless of the sampling seed.
     #[test]
     fn all_models_fit_separable_data(seed in any::<u64>()) {
-        let data = separable(120, 4.0, seed);
+        let data = separable(120, 3, 4.0, seed);
         for kind in HidKind::ALL {
             let mut model = kind.build();
             model.fit(&data.x, &data.y);
@@ -69,7 +70,7 @@ proptest! {
     /// the same row identically forever.
     #[test]
     fn prediction_is_pure(seed in any::<u64>(), probe in proptest::collection::vec(-5.0f64..5.0, 3)) {
-        let data = separable(60, 3.0, seed);
+        let data = separable(60, 3, 3.0, seed);
         let mut lr = LogisticRegression::new();
         lr.fit(&data.x, &data.y);
         prop_assert_eq!(lr.predict(&probe), lr.predict(&probe));
@@ -85,7 +86,7 @@ proptest! {
     /// the complement set.
     #[test]
     fn detection_rate_is_a_probability(seed in any::<u64>()) {
-        let data = separable(100, 3.0, seed);
+        let data = separable(100, 3, 3.0, seed);
         let hid = Hid::train(HidKind::Svm, HidMode::Offline, data.clone());
         let rate = hid.detection_rate(&data.x);
         prop_assert!((0.0..=1.0).contains(&rate));
@@ -96,7 +97,7 @@ proptest! {
     /// The online corpus cap is respected after any number of observes.
     #[test]
     fn observed_cap_bounds_corpus(batches in proptest::collection::vec(10usize..80, 1..6)) {
-        let initial = separable(60, 3.0, 5);
+        let initial = separable(60, 3, 3.0, 5);
         let mut hid = Hid::train(HidKind::Lr, HidMode::Online, initial);
         hid.set_observed_cap(100);
         for (i, n) in batches.iter().enumerate() {
@@ -150,6 +151,133 @@ proptest! {
             let expect = dot(m.row(i), x);
             prop_assert_eq!(v.to_bits(), expect.to_bits(), "row {}", i);
             prop_assert_eq!(gemm_out.row(i)[0].to_bits(), expect.to_bits(), "row {}", i);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The lockstep kernel behind `matvec_into` is bitwise a stack of
+    /// per-row `dot`s for every row count around the lane width (0..=19
+    /// covers every tail length), over values that expose a different
+    /// fold: signed zeros (an all-`-0.0` sum must stay `-0.0`),
+    /// subnormals, infinities and NaN.
+    #[test]
+    fn lockstep_matvec_is_bitwise_dot_on_special_values(
+        rows in 0usize..20,
+        k in 0usize..10,
+        palette in 0usize..3,
+        seed in any::<u64>(),
+    ) {
+        let mut draw = stress_values(palette, seed);
+        let m = Mat::from_vec((0..rows * k).map(|_| draw()).collect(), rows, k);
+        let x: Vec<f64> = (0..k).map(|_| draw()).collect();
+        let mut out = vec![f64::NAN; rows];
+        matvec_into(&m, &x, &mut out);
+        for (r, v) in out.iter().enumerate() {
+            prop_assert_eq!(bits(*v), bits(dot(m.row(r), &x)), "row {}", r);
+        }
+    }
+
+    /// Same contract for `gemm_nt`, whose tile rows run the same kernel.
+    #[test]
+    fn lockstep_gemm_is_bitwise_dot_on_special_values(
+        m in 0usize..6,
+        n in 0usize..20,
+        k in 0usize..10,
+        palette in 0usize..3,
+        seed in any::<u64>(),
+    ) {
+        let mut draw = stress_values(palette, seed);
+        let a = Mat::from_vec((0..m * k).map(|_| draw()).collect(), m, k);
+        let b = Mat::from_vec((0..n * k).map(|_| draw()).collect(), n, k);
+        let mut out = Mat::zeros(m, n);
+        gemm_nt(&a, &b, &mut out);
+        for i in 0..m {
+            for j in 0..n {
+                prop_assert_eq!(
+                    bits(out.row(i)[j]),
+                    bits(dot(a.row(i), b.row(j))),
+                    "element ({}, {})", i, j
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The flat DenseNet trains to bit-identical weights and biases as
+    /// the seed network at layer widths that are not multiples of the
+    /// kernel's lane count (the paper's shapes all are), so every lane
+    /// tail of the forward kernel and every column count of the
+    /// backward upstream sum is exercised.
+    #[test]
+    fn dense_net_matches_reference_at_any_width(
+        hidden in proptest::collection::vec(1usize..14, 1..=3),
+        dim in 1usize..7,
+        seed in any::<u64>(),
+    ) {
+        let data = separable(48, dim, 1.5, seed);
+        let mut fast = DenseNet::new("fast", hidden.clone());
+        let mut slow = RefDenseNet::new("slow", hidden);
+        fast.epochs = 4;
+        slow.epochs = 4;
+        fast.fit(&data.x, &data.y);
+        slow.fit(&data.x, &data.y);
+        prop_assert_eq!(fast.layers().len(), slow.weights().len());
+        for (l, (w, w_ref)) in fast.layers().iter().zip(slow.weights()).enumerate() {
+            for (j, row_ref) in w_ref.iter().enumerate() {
+                for (i, v) in row_ref.iter().enumerate() {
+                    prop_assert_eq!(w.row(j)[i].to_bits(), v.to_bits(), "w[{}][{}][{}]", l, j, i);
+                }
+            }
+            for (j, (b, b_ref)) in fast.layer_biases()[l].iter().zip(&slow.biases()[l]).enumerate() {
+                prop_assert_eq!(b.to_bits(), b_ref.to_bits(), "b[{}][{}]", l, j);
+            }
+        }
+    }
+}
+
+/// Bit pattern of a result. A NaN compares as "some NaN": Rust leaves
+/// the sign and payload of a NaN produced by arithmetic unspecified, so
+/// only NaN-ness is a property of the fold.
+fn bits(v: f64) -> u64 {
+    if v.is_nan() {
+        f64::NAN.to_bits()
+    } else {
+        v.to_bits()
+    }
+}
+
+/// A deterministic value stream for the kernel proptests. Palette 0 is
+/// ordinary magnitudes with one special value (±0.0, ±subnormal, ±inf,
+/// NaN) in eight; palette 1 is only ±0.0 and ±1.0, so all-signed-zero
+/// products are common; palette 2 mixes subnormals with signed zeros.
+fn stress_values(palette: usize, seed: u64) -> impl FnMut() -> f64 {
+    const SPECIALS: [f64; 8] = [
+        0.0,
+        -0.0,
+        5e-324,
+        -2.5e-310,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        1e-300,
+    ];
+    let mut state = seed | 1;
+    move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        let pick = (state >> 32) as usize;
+        match palette {
+            0 if pick.is_multiple_of(8) => SPECIALS[(pick / 8) % SPECIALS.len()],
+            0 => (state % 2000) as f64 / 100.0 - 10.0,
+            1 => [0.0, -0.0, 1.0, -1.0][pick % 4],
+            _ => [0.0, -0.0, 5e-324, -5e-324, 1e-310, 0.5][pick % 6],
         }
     }
 }

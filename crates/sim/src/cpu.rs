@@ -91,8 +91,9 @@ const DECODE_SLOTS: usize = 4096;
 /// what lets a hit skip the permission walk and the decode entirely.
 #[derive(Debug, Clone)]
 struct DecodeCache {
-    /// Guest PC tags; `u64::MAX` marks an invalid slot (that address can
-    /// never fetch successfully — it is out of bounds by construction).
+    /// Guest PC tags. An empty slot `i` holds [`DecodeCache::empty_tag`],
+    /// a PC that maps to a *different* slot, so no guest PC can ever
+    /// hit it and the lookup stays a single compare.
     tags: Box<[u64; DECODE_SLOTS]>,
     /// Decoded instructions parallel to `tags`. Fixed-size arrays (not
     /// boxed slices) so the masked slot index provably needs no bounds
@@ -105,7 +106,7 @@ struct DecodeCache {
 impl DecodeCache {
     fn new() -> DecodeCache {
         DecodeCache {
-            tags: Box::new([u64::MAX; DECODE_SLOTS]),
+            tags: Box::new(std::array::from_fn(DecodeCache::empty_tag)),
             instrs: Box::new([Instr::Nop; DECODE_SLOTS]),
             epoch: 0,
         }
@@ -116,8 +117,17 @@ impl DecodeCache {
         ((pc / INSTR_BYTES as u64) as usize) & (DECODE_SLOTS - 1)
     }
 
+    /// The tag of empty slot `i`: the first PC of slot `i ^ 1`. Any
+    /// fixed sentinel PC (such as `u64::MAX`) lives in some slot and
+    /// would hit there when the guest jumps to it.
+    fn empty_tag(i: usize) -> u64 {
+        ((i ^ 1) * INSTR_BYTES) as u64
+    }
+
     fn clear(&mut self, epoch: u64) {
-        self.tags.fill(u64::MAX);
+        for (i, tag) in self.tags.iter_mut().enumerate() {
+            *tag = DecodeCache::empty_tag(i);
+        }
         self.epoch = epoch;
     }
 }

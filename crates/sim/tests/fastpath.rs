@@ -191,3 +191,32 @@ fn whole_workload_equivalence_fast_vs_slow() {
         "the workload actually speculated — the equivalence is not vacuous"
     );
 }
+
+#[test]
+fn jump_to_the_top_of_the_address_space_faults_on_both_paths() {
+    // `u64::MAX` once doubled as the predecode cache's empty-slot tag,
+    // so a jump there "hit" an empty slot and retired a phantom `Nop`
+    // on the fast path while the reference path faulted. A ROP `ret`
+    // to an attacker-chosen word reaches the same state.
+    let run = |fast_path: bool| {
+        let mut m = Machine::new(MachineConfig { fast_path, ..MachineConfig::default() });
+        let li = m
+            .load(&image_from(&[Instr::Ldi(Reg::R1, -1), Instr::JmpR(Reg::R1)]))
+            .unwrap();
+        m.start(li.entry);
+        let out = m.run();
+        let regs: Vec<u64> = Reg::ALL.iter().map(|&r| m.reg(r)).collect();
+        (out, m.pc(), regs, m.pmu().snapshot())
+    };
+    let fast = run(true);
+    let slow = run(false);
+    assert!(
+        matches!(slow.0.exit, cr_spectre_sim::error::ExitReason::Fault(_)),
+        "the reference path faults: {:?}",
+        slow.0.exit
+    );
+    assert_eq!(fast.0, slow.0, "identical run outcome (fault, instructions, cycles)");
+    assert_eq!(fast.1, slow.1, "identical final pc");
+    assert_eq!(fast.2, slow.2, "identical registers");
+    assert_eq!(fast.3, slow.3, "identical 56-counter PMU trace");
+}

@@ -1,9 +1,9 @@
 //! End-to-end validation of `--telemetry` JSONL export: runs the fig5
-//! smoke campaign through the real CLI binary with a trace file, then
-//! checks the emitted JSONL with the telemetry crate's own parser —
-//! every line must parse, carry its required keys, and the trace must
-//! contain at least one span per driver phase plus per-trial timing
-//! records. CI runs this as the telemetry smoke job.
+//! and fig6 smoke campaigns through the real CLI binary with a trace
+//! file, then checks the emitted JSONL with the telemetry crate's own
+//! parser — every line must parse, carry its required keys, and the
+//! trace must contain at least one span per driver phase plus
+//! per-trial timing records. CI runs this as the telemetry smoke job.
 
 use std::collections::BTreeSet;
 use std::process::Command;
@@ -19,18 +19,21 @@ fn require_keys(line_no: usize, line: &str, value: &Value, keys: &[&str]) {
     }
 }
 
-#[test]
-fn cli_fig5_smoke_campaign_emits_valid_jsonl() {
-    let dir = std::env::temp_dir().join(format!("cr-spectre-telemetry-{}", std::process::id()));
+/// Runs `cr-spectre campaign --quick --artifact <artifact> --threads 2
+/// --quiet --telemetry <file>` and returns its stdout and the trace
+/// file's text.
+fn traced_smoke_campaign(artifact: &str) -> (String, String) {
+    let dir = std::env::temp_dir()
+        .join(format!("cr-spectre-telemetry-{artifact}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let trace_path = dir.join("fig5.jsonl");
+    let trace_path = dir.join(format!("{artifact}.jsonl"));
 
     let output = Command::new(env!("CARGO_BIN_EXE_cr-spectre"))
         .args([
             "campaign",
             "--quick",
             "--artifact",
-            "fig5",
+            artifact,
             "--threads",
             "2",
             "--quiet",
@@ -45,16 +48,33 @@ fn cli_fig5_smoke_campaign_emits_valid_jsonl() {
         String::from_utf8_lossy(&output.stdout),
         String::from_utf8_lossy(&output.stderr)
     );
-    let stdout = String::from_utf8_lossy(&output.stdout);
+    let text = std::fs::read_to_string(&trace_path).expect("trace file written");
+    let _ = std::fs::remove_file(&trace_path);
+    let _ = std::fs::remove_dir(&dir);
+    (String::from_utf8_lossy(&output.stdout).into_owned(), text)
+}
+
+/// The `span` records of a trace, parsed.
+fn spans(text: &str) -> Vec<Value> {
+    text.lines()
+        .map(|line| parse(line).unwrap_or_else(|e| panic!("{line:?}: {e}")))
+        .filter(|v| v.get("type").and_then(Value::as_str) == Some("span"))
+        .collect()
+}
+
+fn span_name(span: &Value) -> &str {
+    span.get("name").and_then(Value::as_str).expect("span name")
+}
+
+#[test]
+fn cli_fig5_smoke_campaign_emits_valid_jsonl() {
+    let (stdout, text) = traced_smoke_campaign("fig5");
     assert!(stdout.contains("fig5"), "final result line survives --quiet: {stdout:?}");
     assert!(
         !stdout.contains("worker thread(s)"),
         "--quiet suppresses commentary: {stdout:?}"
     );
 
-    let text = std::fs::read_to_string(&trace_path).expect("trace file written");
-    let _ = std::fs::remove_file(&trace_path);
-    let _ = std::fs::remove_dir(&dir);
     let lines: Vec<&str> = text.lines().collect();
     assert!(lines.len() > 10, "expected a real trace, got {} lines", lines.len());
 
@@ -122,14 +142,7 @@ fn cli_fig5_smoke_campaign_emits_valid_jsonl() {
     assert!(attempt_spans >= 3, "got {attempt_spans} attempt spans");
     assert!(profile_spans >= attempt_spans, "got {profile_spans} hpc.profile spans");
     // Aggregates from each instrumented layer.
-    for counter in [
-        "sim.runs",
-        "sim.instructions",
-        "hpc.trials",
-        "par_map.jobs",
-        "hid.fits",
-        "hid.train.rows_per_sec",
-    ] {
+    for counter in ["sim.runs", "sim.instructions", "hpc.trials", "par_map.jobs", "hid.fits"] {
         assert!(counter_names.contains(counter), "no {counter:?} counter in {counter_names:?}");
     }
     for histogram in [
@@ -137,10 +150,35 @@ fn cli_fig5_smoke_campaign_emits_valid_jsonl() {
         "hpc.squashes_per_trial",
         "hid.epochs_to_converge",
         "hid.train.epoch_us",
+        // A rate: summing it as a counter would be meaningless.
+        "hid.train.rows_per_sec",
     ] {
         assert!(
             histogram_names.contains(histogram),
             "no {histogram:?} histogram in {histogram_names:?}"
         );
+    }
+    assert!(
+        !counter_names.contains("hid.train.rows_per_sec"),
+        "rows_per_sec is a histogram, not a counter"
+    );
+}
+
+#[test]
+fn cli_fig6_smoke_campaign_traces_both_panels() {
+    let (stdout, text) = traced_smoke_campaign("fig6");
+    assert!(stdout.contains("fig6"), "final result line survives --quiet: {stdout:?}");
+    let spans = spans(&text);
+    let count = |name: &str| spans.iter().filter(|s| span_name(s) == name).count();
+    // Smoke scale: 3 attempts, 4 online HIDs, two panels.
+    assert_eq!(count("fig6.score_spectre"), 1, "panel (a) score phase");
+    assert_eq!(count("fig6.attempt"), 3, "one span per panel (b) attempt");
+    assert_eq!(count("hid.train"), 4, "panel (b) clones panel (a)'s HIDs");
+    assert_eq!(count("hid.retrain"), 2 * 3 * 4, "every HID retrains once per attempt");
+    for span in spans.iter().filter(|s| span_name(s) == "hid.retrain") {
+        let fields = span.get("fields").expect("hid.retrain has fields");
+        for key in ["kind", "corpus", "trimmed"] {
+            assert!(fields.get(key).is_some(), "hid.retrain without {key}: {fields:?}");
+        }
     }
 }
