@@ -1,7 +1,7 @@
 //! One Criterion benchmark per paper artifact: Figure 4, Figure 5,
 //! Figure 6 and Table I, each at a reduced (smoke) scale so the bench
-//! suite finishes in minutes. The printable full-scale harnesses are the
-//! `fig4`/`fig5`/`fig6`/`table1` binaries.
+//! suite finishes in minutes. The printable full-scale tables come from
+//! `cr-spectre campaign --artifact fig4|fig5|fig6|table1`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

@@ -11,14 +11,15 @@
 //! exactly (the full bit-identity contract is locked by
 //! `crates/hid/tests/fastmath_equivalence.rs`).
 //!
-//! Flags on top of the usual set: `--quick` (smaller corpus, fewer
-//! reps) and `--out PATH` (default `BENCH_hid.json`).
+//! Flags: `--quick` (smaller corpus, fewer reps), `--quiet` (result
+//! lines only), `--telemetry PATH` (JSONL trace) and `--out PATH`
+//! (default `BENCH_hid.json`).
 //!
 //! Run with `cargo run --release -p cr-spectre-bench --bin hid_throughput`.
 
 use std::time::Instant;
 
-use cr_spectre_bench::BenchOpts;
+use cr_spectre_core::cli::{self, Args, Kind, Spec};
 use cr_spectre_hid::detector::Detector;
 use cr_spectre_hid::linalg::Mat;
 use cr_spectre_hid::reference::{RefDenseNet, RefKnn, RefLinearSvm, RefLogisticRegression};
@@ -153,7 +154,7 @@ impl FamilyResult {
 
 #[allow(clippy::too_many_arguments)]
 fn measure_family(
-    opts: &BenchOpts,
+    args: &Args,
     name: &'static str,
     build_fast: &dyn Fn() -> Box<dyn Detector>,
     build_base: &dyn Fn() -> Box<dyn Detector>,
@@ -178,7 +179,7 @@ fn measure_family(
     let predict_fast = measure_predict(fast.as_ref(), x, Some(&mat), passes, reps);
     let predict_base = measure_predict(base.as_ref(), x, None, passes, reps);
     let result = FamilyResult { name, train_fast, train_base, predict_fast, predict_base };
-    opts.note(&format!(
+    args.note(&format!(
         "  {name:<4} train {:>10.0} -> {:>10.0} rows/s ({:.2}x)   predict {:>10.0} -> {:>10.0} rows/s ({:.2}x)",
         result.train_base.rows_per_sec(),
         result.train_fast.rows_per_sec(),
@@ -190,23 +191,31 @@ fn measure_family(
     result
 }
 
+const SPEC: &Spec = &[
+    ("quick", Kind::Switch),
+    ("quiet", Kind::Switch),
+    ("telemetry", Kind::Text),
+    ("out", Kind::Text),
+];
+
+const USAGE: &str =
+    "usage: hid_throughput [--quick] [--quiet] [--telemetry PATH] [--out PATH]\n";
+
 fn main() {
-    let opts = BenchOpts::parse();
-    opts.init_telemetry();
-    let mut out_path = String::from("BENCH_hid.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--out" {
-            out_path = args.next().unwrap_or_else(|| panic!("--out needs a path"));
-        }
+    let args = cli::parse_env_or_exit(SPEC, USAGE);
+    if let Err(e) = args.install_telemetry() {
+        eprintln!("error: {e}");
+        std::process::exit(1);
     }
+    let quick = args.switch("quick");
+    let out_path = args.text("out").unwrap_or("BENCH_hid.json");
 
     // fig5 scale (800 × 4) at full size; --quick shrinks the corpus and
     // the rep counts but keeps every family and both directions.
-    let (n, passes, reps) = if opts.quick { (240, 20, 2) } else { (800, 50, 3) };
+    let (n, passes, reps) = if quick { (240, 20, 2) } else { (800, 50, 3) };
     let (x, y) = clusters(n, 4, 1.5, 0xb1d0);
 
-    opts.note(&format!("HID math-core throughput, {n} rows x 4 features:"));
+    args.note(&format!("HID math-core throughput, {n} rows x 4 features:"));
     type Build = dyn Fn() -> Box<dyn Detector>;
     let families: [(&'static str, Box<Build>, Box<Build>); 5] = [
         (
@@ -239,18 +248,18 @@ fn main() {
     let results: Vec<FamilyResult> = families
         .iter()
         .map(|(name, fast, base)| {
-            measure_family(&opts, name, fast.as_ref(), base.as_ref(), &x, &y, passes, reps)
+            measure_family(&args, name, fast.as_ref(), base.as_ref(), &x, &y, passes, reps)
         })
         .collect();
 
     let body: Vec<String> = results.iter().map(FamilyResult::json).collect();
     let json = format!(
         "{{\n  \"bench\": \"hid_throughput\",\n  \"quick\": {},\n  \"rows\": {},\n  \"dim\": 4,\n{}\n}}\n",
-        opts.quick,
+        quick,
         n,
         body.join(",\n"),
     );
-    std::fs::write(&out_path, &json)
+    std::fs::write(out_path, &json)
         .unwrap_or_else(|e| panic!("cannot write {out_path:?}: {e}"));
 
     for r in &results {
@@ -266,5 +275,5 @@ fn main() {
         );
     }
     println!("wrote {out_path}");
-    opts.finish();
+    let _ = cr_spectre_telemetry::shutdown();
 }

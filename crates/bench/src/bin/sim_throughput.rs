@@ -14,15 +14,16 @@
 //! an equivalence check: the mix must retire the identical instruction
 //! and cycle counts either way.
 //!
-//! Flags on top of the usual set: `--quick` (fewer, shorter reps) and
-//! `--out PATH` (default `BENCH_sim.json`).
+//! Flags: `--quick` (fewer, shorter reps), `--threads N` (fig5 workers),
+//! `--quiet` (result lines only) and `--out PATH` (default
+//! `BENCH_sim.json`).
 //!
 //! Run with `cargo run --release -p cr-spectre-bench --bin sim_throughput`.
 
 use std::time::Instant;
 
-use cr_spectre_bench::BenchOpts;
 use cr_spectre_core::campaign::{fig5, CampaignConfig};
+use cr_spectre_core::cli::{self, Args, Kind, Spec};
 use cr_spectre_sim::config::MachineConfig;
 use cr_spectre_sim::cpu::Machine;
 use cr_spectre_sim::image::{Image, ImageSegment, SegKind};
@@ -96,7 +97,7 @@ fn run_mix_once(fast_path: bool, iters: u32) -> (RunOutcome, f64) {
 }
 
 /// Best-of-`reps` throughput of the mix (one unmeasured warmup first).
-fn measure_mix(opts: &BenchOpts, fast_path: bool, iters: u32, reps: u32) -> Throughput {
+fn measure_mix(args: &Args, fast_path: bool, iters: u32, reps: u32) -> Throughput {
     let _ = run_mix_once(fast_path, iters); // warmup
     let mut best: Option<Throughput> = None;
     let mut reference: Option<RunOutcome> = None;
@@ -114,7 +115,7 @@ fn measure_mix(opts: &BenchOpts, fast_path: bool, iters: u32, reps: u32) -> Thro
         }
     }
     let best = best.expect("at least one rep");
-    opts.note(&format!(
+    args.note(&format!(
         "  mix fast_path={fast_path:<5} {:>8.2} MIPS  ({} instrs, best of {reps} reps)",
         best.mips(),
         best.instructions
@@ -125,11 +126,11 @@ fn measure_mix(opts: &BenchOpts, fast_path: bool, iters: u32, reps: u32) -> Thro
 /// Runs the fig5 smoke campaign with the given fast-path setting under a
 /// fresh telemetry recorder; MIPS comes from the recorded `sim.*`
 /// counters, exercising the bench's telemetry-reporting path end to end.
-fn measure_fig5(opts: &BenchOpts, fast_path: bool) -> (Throughput, String) {
+fn measure_fig5(args: &Args, fast_path: bool) -> (Throughput, String) {
     let mut cfg = CampaignConfig::smoke();
     cfg.machine.fast_path = fast_path;
-    if let Some(threads) = opts.threads {
-        cfg.threads = threads;
+    if let Some(threads) = args.number("threads") {
+        cfg.threads = threads as usize;
     }
     let sink = MemorySink::shared();
     let installed = telemetry::install(vec![Box::new(sink)]);
@@ -141,7 +142,7 @@ fn measure_fig5(opts: &BenchOpts, fast_path: bool) -> (Throughput, String) {
     let instructions =
         summary.counters.get("sim.instructions").copied().expect("campaign emits sim counters");
     let t = Throughput { instructions, wall_s: wall };
-    opts.note(&format!(
+    args.note(&format!(
         "  fig5 fast_path={fast_path:<5} {:>8.2} MIPS  ({instructions} guest instrs in {wall:.2}s)",
         t.mips()
     ));
@@ -157,33 +158,38 @@ fn json_entry(t: &Throughput) -> String {
     )
 }
 
+const SPEC: &Spec = &[
+    ("quick", Kind::Switch),
+    ("quiet", Kind::Switch),
+    ("threads", Kind::Count),
+    ("out", Kind::Text),
+];
+
+const USAGE: &str =
+    "usage: sim_throughput [--quick] [--quiet] [--threads N] [--out PATH]\n";
+
 fn main() {
-    let opts = BenchOpts::parse();
-    let mut out_path = String::from("BENCH_sim.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--out" {
-            out_path = args.next().unwrap_or_else(|| panic!("--out needs a path"));
-        }
-    }
+    let args = cli::parse_env_or_exit(SPEC, USAGE);
+    let quick = args.switch("quick");
+    let out_path = args.text("out").unwrap_or("BENCH_sim.json");
 
     // Rep length is chosen so one rep runs for hundreds of milliseconds:
     // short bursts measure the CPU's frequency ramp and cold caches, not
     // the interpreter's steady-state throughput.
-    let (iters, reps) = if opts.quick { (800_000, 2) } else { (2_000_000, 3) };
+    let (iters, reps) = if quick { (800_000, 2) } else { (2_000_000, 3) };
 
-    opts.note("fixed instruction mix (ALU/load/store/call loop):");
-    let mix_fast = measure_mix(&opts, true, iters, reps);
-    let mix_slow = measure_mix(&opts, false, iters, reps);
+    args.note("fixed instruction mix (ALU/load/store/call loop):");
+    let mix_fast = measure_mix(&args, true, iters, reps);
+    let mix_slow = measure_mix(&args, false, iters, reps);
     assert_eq!(
         mix_fast.instructions, mix_slow.instructions,
         "fast path must not change the architectural instruction count"
     );
     let mix_speedup = mix_fast.mips() / mix_slow.mips();
 
-    opts.note("fig5 smoke campaign (full CR-Spectre chain):");
-    let (fig5_fast, fast_result) = measure_fig5(&opts, true);
-    let (fig5_slow, slow_result) = measure_fig5(&opts, false);
+    args.note("fig5 smoke campaign (full CR-Spectre chain):");
+    let (fig5_fast, fast_result) = measure_fig5(&args, true);
+    let (fig5_slow, slow_result) = measure_fig5(&args, false);
     assert_eq!(fast_result, slow_result, "fig5 must be bit-identical fast vs slow");
     let fig5_speedup = fig5_fast.mips() / fig5_slow.mips();
 
@@ -192,7 +198,7 @@ fn main() {
          \"fast_path\": {},\n    \"baseline\": {},\n    \"speedup\": {:.3}\n  }},\n  \
          \"fig5_smoke\": {{\n    \"fast_path\": {},\n    \"baseline\": {},\n    \
          \"speedup\": {:.3}\n  }}\n}}\n",
-        opts.quick,
+        quick,
         json_entry(&mix_fast),
         json_entry(&mix_slow),
         mix_speedup,
@@ -200,7 +206,7 @@ fn main() {
         json_entry(&fig5_slow),
         fig5_speedup,
     );
-    std::fs::write(&out_path, &json)
+    std::fs::write(out_path, &json)
         .unwrap_or_else(|e| panic!("cannot write {out_path:?}: {e}"));
 
     println!(
@@ -211,5 +217,4 @@ fn main() {
         fig5_fast.mips(),
     );
     println!("wrote {out_path}");
-    opts.finish();
 }

@@ -379,6 +379,23 @@ pub struct EvasionResult {
     pub cr_spectre: Vec<DetectorSeries>,
 }
 
+impl EvasionResult {
+    /// The evasion headline (the paper's "90 % to 16 %"): the mean
+    /// plain-Spectre accuracy over all detectors, and the lowest
+    /// CR-Spectre accuracy of any detector at any attempt (0 when there
+    /// is none).
+    pub fn headline(&self) -> (f64, f64) {
+        let spectre_mean = self.spectre.iter().map(DetectorSeries::mean).sum::<f64>()
+            / self.spectre.len().max(1) as f64;
+        let cr_min = self
+            .cr_spectre
+            .iter()
+            .flat_map(|s| s.accuracy.iter().copied())
+            .fold(f64::INFINITY, f64::min);
+        (spectre_mean, if cr_min.is_finite() { cr_min } else { 0.0 })
+    }
+}
+
 /// Figure 5: **offline** HIDs. Panel (a) profiles plain standalone
 /// Spectre for each attempt; panel (b) runs ROP-injected CR-Spectre with
 /// a single static perturbation (no dynamic adaptation — the offline HID
@@ -745,6 +762,23 @@ mod tests {
         let benign = data.len() - attacks;
         assert!(attacks > 50 && benign > 50, "attacks {attacks} benign {benign}");
         assert!(data.x.iter().all(|r| r.len() == 4));
+    }
+
+    #[test]
+    fn headline_extracts_spectre_mean_and_cr_minimum() {
+        let series = |vals: &[f64]| {
+            HidKind::ALL
+                .iter()
+                .map(|&kind| DetectorSeries { kind, accuracy: vals.to_vec() })
+                .collect()
+        };
+        let result =
+            EvasionResult { spectre: series(&[0.9, 0.92]), cr_spectre: series(&[0.4, 0.2]) };
+        let (spectre, cr) = result.headline();
+        assert!((spectre - 0.91).abs() < 1e-12);
+        assert!((cr - 0.2).abs() < 1e-12);
+        let empty = EvasionResult { spectre: Vec::new(), cr_spectre: Vec::new() };
+        assert_eq!(empty.headline(), (0.0, 0.0));
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //! * [`parallel`] — the deterministic parallel execution engine the
 //!   campaign drivers fan out on: order-preserving scoped-thread
 //!   `par_map` plus per-trial seed derivation, with results guaranteed
-//!   bit-identical at every thread count.
+//!   bit-identical at every thread count;
+//! * [`cli`] — the strict flag parser and telemetry installer shared by
+//!   the `cr-spectre` binary and the perf harnesses.
 //!
 //! # Example: the headline attack
 //!
@@ -36,6 +38,7 @@
 
 pub mod attack;
 pub mod campaign;
+pub mod cli;
 pub mod covert;
 pub mod parallel;
 pub mod perturb;

@@ -238,10 +238,9 @@ impl Hid {
         if rows.is_empty() {
             return Vec::new();
         }
-        let mut flat = cr_spectre_hpc::dataset::FlatMatrix::from_rows(rows);
-        self.normalizer.apply_flat(&mut flat);
-        let (data, n, dim) = flat.into_parts();
-        self.model.predict_batch(&Mat::from_vec(data, n, dim))
+        let mut mat = Mat::from_rows(rows);
+        self.normalizer.apply_flat(mat.as_mut_slice());
+        self.model.predict_batch(&mat)
     }
 
     /// Overall accuracy on a labelled raw dataset (Figure 4's metric).
@@ -348,13 +347,12 @@ impl Hid {
 }
 
 /// Normalizes a corpus into the flat matrix the fast-path trainers
-/// consume: one contiguous copy, normalized in place, handed to
-/// [`Mat`] zero-copy — no per-row re-boxing anywhere.
+/// consume: one contiguous copy, normalized in place — no per-row
+/// re-boxing anywhere.
 fn normalized_mat(normalizer: &Normalizer, corpus: &Dataset) -> Mat {
-    let mut flat = corpus.to_flat();
-    normalizer.apply_flat(&mut flat);
-    let (data, rows, cols) = flat.into_parts();
-    Mat::from_vec(data, rows, cols)
+    let mut mat = Mat::from_rows(&corpus.x);
+    normalizer.apply_flat(mat.as_mut_slice());
+    mat
 }
 
 /// Runs `model.fit_mat` under the training-throughput telemetry: a

@@ -193,19 +193,22 @@ impl Normalizer {
         }
     }
 
-    /// Normalizes a flat row-major matrix in place — the same per-row
-    /// arithmetic as [`Normalizer::apply`], over contiguous storage.
+    /// Normalizes a row-major matrix of [`Normalizer::dim`]-wide rows in
+    /// place — the same per-row arithmetic as [`Normalizer::apply`], over
+    /// contiguous storage.
     ///
     /// # Panics
     ///
-    /// Panics when the matrix width differs from the fitted dimension.
-    pub fn apply_flat(&self, m: &mut crate::dataset::FlatMatrix) {
-        assert_eq!(m.cols(), self.dim(), "flat matrix width mismatch");
+    /// Panics when `data.len()` is not a multiple of the fitted
+    /// dimension.
+    pub fn apply_flat(&self, data: &mut [f64]) {
         let dim = self.dim();
         if dim == 0 {
+            assert!(data.is_empty(), "flat matrix width mismatch");
             return;
         }
-        for row in m.as_mut_slice().chunks_exact_mut(dim) {
+        assert_eq!(data.len() % dim, 0, "flat matrix width mismatch");
+        for row in data.chunks_exact_mut(dim) {
             self.apply(row);
         }
     }
@@ -295,27 +298,25 @@ mod tests {
 
     #[test]
     fn apply_flat_matches_apply_all() {
-        use crate::dataset::FlatMatrix;
         let rows = vec![vec![1.0, 10.0], vec![3.0, 30.0], vec![5.0, 50.0]];
         let norm = Normalizer::fit(&rows);
         let mut jagged = rows.clone();
         norm.apply_all(&mut jagged);
-        let mut flat = FlatMatrix::from_rows(&rows);
+        let mut flat: Vec<f64> = rows.concat();
         norm.apply_flat(&mut flat);
-        for (i, row) in jagged.iter().enumerate() {
-            for (a, b) in row.iter().zip(flat.row(i)) {
-                assert_eq!(a.to_bits(), b.to_bits(), "row {i}");
-            }
+        for (i, (a, b)) in jagged.concat().iter().zip(&flat).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "element {i}");
         }
+        let mut empty: Vec<f64> = Vec::new();
+        norm.apply_flat(&mut empty);
+        assert!(empty.is_empty());
     }
 
     #[test]
     #[should_panic(expected = "width mismatch")]
     fn apply_flat_rejects_wrong_width() {
-        use crate::dataset::FlatMatrix;
         let norm = Normalizer::fit(&[vec![1.0, 2.0]]);
-        let mut flat = FlatMatrix::from_rows(&[vec![1.0]]);
-        norm.apply_flat(&mut flat);
+        norm.apply_flat(&mut [1.0, 2.0, 3.0]);
     }
 
     #[test]

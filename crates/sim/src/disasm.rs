@@ -98,7 +98,7 @@ pub fn context_around(machine: &Machine, image: &LoadedImage, addr: u64, context
         return format!("{addr:#010x}: <not in image {}>", image.name);
     };
     let lo = center.saturating_sub(context);
-    let hi = (center + context + 1).min(lines.len());
+    let hi = center.saturating_add(context).saturating_add(1).min(lines.len());
     let mut out = String::new();
     for (i, line) in lines[lo..hi].iter().enumerate() {
         let marker = if lo + i == center { "=> " } else { "   " };

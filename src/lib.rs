@@ -19,6 +19,7 @@
 //! | [`hid`] | `cr-spectre-hid` | LR/SVM/MLP/NN detectors, offline + online |
 //! | [`telemetry`] | `cr-spectre-telemetry` | spans, counters, JSONL trace export (off by default) |
 //! | [`attack`], [`campaign`], [`covert`], [`perturb`], [`spectre`] | `cr-spectre-core` | the paper's contribution |
+//! | [`cli`] | `cr-spectre-core` | the strict flag parser shared by every binary |
 //!
 //! # Quickstart
 //!
@@ -31,8 +32,9 @@
 //! # Ok::<(), cr_spectre::attack::AttackError>(())
 //! ```
 //!
-//! See `examples/` for runnable end-to-end scenarios and
-//! `crates/bench/src/bin/` for the Figure 4–6 / Table I harnesses.
+//! See `examples/` for runnable end-to-end scenarios. The paper's
+//! Figures 4–6 and Table I print with
+//! `cargo run --release -- campaign --artifact fig4|fig5|fig6|table1`.
 
 #![warn(missing_docs)]
 
@@ -44,7 +46,7 @@ pub use cr_spectre_sim as sim;
 pub use cr_spectre_telemetry as telemetry;
 pub use cr_spectre_workloads as workloads;
 
-pub use cr_spectre_core::{attack, campaign, covert, perturb, spectre};
+pub use cr_spectre_core::{attack, campaign, cli, covert, perturb, spectre};
 
 pub use cr_spectre_core::{
     build_spectre_image, run_cr_spectre, run_standalone_spectre, AttackConfig, AttackOutcome,

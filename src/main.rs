@@ -8,14 +8,21 @@
 //! cr-spectre gadgets  [--host H] [--max-len N] [--limit N]
 //! cr-spectre disasm   [--host H] [--symbol S] [--context N]
 //! cr-spectre profile  [--app NAME] [--interval N] [--csv PATH]
-//! cr-spectre campaign [--artifact fig4|fig5|fig6|table1|all] [--threads N] [--quick]
+//! cr-spectre trace    [--host H] [--limit N]
+//! cr-spectre campaign [--artifact fig4|fig5|fig6|table1|ablations|defense_overhead|all]
+//!                     [--threads N] [--quick] [--quiet] [--telemetry PATH] [--no-fast-path]
 //! cr-spectre list
 //! ```
+//!
+//! Every command declares its flags; an unknown, repeated or malformed
+//! flag prints `error: …` and the usage text and exits 1.
 
-use std::collections::HashMap;
+mod artifacts;
+
 use std::process::ExitCode;
 
 use cr_spectre::attack::{run_cr_spectre, run_standalone_spectre, AttackConfig};
+use cr_spectre::cli::{exit_with_usage, Args, Kind, Spec};
 use cr_spectre::covert::CovertConfig;
 use cr_spectre::hpc::export::trace_to_csv_full;
 use cr_spectre::hpc::profiler::profile;
@@ -29,39 +36,32 @@ use cr_spectre::workloads::benign::BenignApp;
 use cr_spectre::workloads::host::{standalone_image, vulnerable_host, HostOptions, SECRET};
 use cr_spectre::workloads::mibench::Mibench;
 
-/// Minimal `--flag value` / `--switch` argument bag.
-struct Args {
-    values: HashMap<String, String>,
-    switches: Vec<String>,
-}
-
-impl Args {
-    fn parse(raw: &[String]) -> Result<Args, String> {
-        let mut values = HashMap::new();
-        let mut switches = Vec::new();
-        let mut it = raw.iter().peekable();
-        while let Some(arg) = it.next() {
-            let Some(name) = arg.strip_prefix("--") else {
-                return Err(format!("unexpected positional argument {arg:?}"));
-            };
-            match it.peek() {
-                Some(next) if !next.starts_with("--") => {
-                    values.insert(name.to_string(), it.next().expect("peeked").clone());
-                }
-                _ => switches.push(name.to_string()),
-            }
-        }
-        Ok(Args { values, switches })
-    }
-
-    fn value(&self, name: &str) -> Option<&str> {
-        self.values.get(name).map(String::as_str)
-    }
-
-    fn switch(&self, name: &str) -> bool {
-        self.switches.iter().any(|s| s == name)
-    }
-}
+/// `attack` and `spectre` flags.
+const ATTACK: &Spec = &[
+    ("host", Kind::Text),
+    ("variant", Kind::Text),
+    ("perturb", Kind::Text),
+    ("aslr", Kind::Number),
+    ("canary", Kind::Switch),
+    ("no-clflush", Kind::Switch),
+    ("evict-reload", Kind::Switch),
+    ("shadow-stack", Kind::Switch),
+    ("invisispec", Kind::Switch),
+    ("csf", Kind::Switch),
+    ("no-fast-path", Kind::Switch),
+];
+const GADGETS: &Spec = &[("host", Kind::Text), ("max-len", Kind::Count), ("limit", Kind::Number)];
+const DISASM: &Spec = &[("host", Kind::Text), ("symbol", Kind::Text), ("context", Kind::Number)];
+const PROFILE: &Spec = &[("app", Kind::Text), ("interval", Kind::Count), ("csv", Kind::Text)];
+const TRACE: &Spec = &[("host", Kind::Text), ("limit", Kind::Number)];
+const CAMPAIGN: &Spec = &[
+    ("artifact", Kind::Text),
+    ("threads", Kind::Count),
+    ("quick", Kind::Switch),
+    ("quiet", Kind::Switch),
+    ("telemetry", Kind::Text),
+    ("no-fast-path", Kind::Switch),
+];
 
 fn host_by_name(name: &str) -> Result<Mibench, String> {
     Mibench::ALL
@@ -78,7 +78,7 @@ fn variant_by_name(name: &str) -> Result<SpectreVariant, String> {
     }
 }
 
-fn machine_from(args: &Args) -> Result<MachineConfig, String> {
+fn machine_from(args: &Args) -> MachineConfig {
     let mut machine = MachineConfig::default();
     if args.switch("no-fast-path") {
         machine.fast_path = false;
@@ -95,21 +95,18 @@ fn machine_from(args: &Args) -> Result<MachineConfig, String> {
     if args.switch("csf") {
         machine.protect.csf = true;
     }
-    if let Some(seed) = args.value("aslr") {
-        let seed: u64 = seed.parse().map_err(|_| "bad --aslr seed".to_string())?;
-        machine.protect.aslr_seed = Some(seed);
-    }
-    Ok(machine)
+    machine.protect.aslr_seed = args.number("aslr");
+    machine
 }
 
 fn attack_config(args: &Args) -> Result<AttackConfig, String> {
-    let host = host_by_name(args.value("host").unwrap_or("bitcount_50m"))?;
+    let host = host_by_name(args.text("host").unwrap_or("bitcount_50m"))?;
     let mut config = AttackConfig::new(host);
-    config.machine = machine_from(args)?;
-    if let Some(v) = args.value("variant") {
+    config.machine = machine_from(args);
+    if let Some(v) = args.text("variant") {
         config.variant = variant_by_name(v)?;
     }
-    match args.value("perturb").unwrap_or("none") {
+    match args.text("perturb").unwrap_or("none") {
         "none" => {}
         "paper" => config.perturb = Some(PerturbParams::paper_default()),
         "evasive" => config.perturb = Some(PerturbParams::evasive_default()),
@@ -158,9 +155,9 @@ fn cmd_spectre(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_gadgets(args: &Args) -> Result<(), String> {
-    let host = host_by_name(args.value("host").unwrap_or("bitcount_50m"))?;
-    let max_len: usize = args.value("max-len").unwrap_or("4").parse().map_err(|_| "bad --max-len")?;
-    let limit: usize = args.value("limit").unwrap_or("40").parse().map_err(|_| "bad --limit")?;
+    let host = host_by_name(args.text("host").unwrap_or("bitcount_50m"))?;
+    let max_len = args.number("max-len").unwrap_or(4) as usize;
+    let limit = args.number("limit").unwrap_or(40) as usize;
     let built = vulnerable_host(host, HostOptions::default());
     let mut machine = Machine::new(MachineConfig::default());
     let loaded = machine.load(&built.image).map_err(|e| e.to_string())?;
@@ -173,17 +170,16 @@ fn cmd_gadgets(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_disasm(args: &Args) -> Result<(), String> {
-    let host = host_by_name(args.value("host").unwrap_or("bitcount_50m"))?;
+    let host = host_by_name(args.text("host").unwrap_or("bitcount_50m"))?;
     let built = vulnerable_host(host, HostOptions::default());
     let mut machine = Machine::new(MachineConfig::default());
     let loaded = machine.load(&built.image).map_err(|e| e.to_string())?;
-    match args.value("symbol") {
+    match args.text("symbol") {
         Some(symbol) => {
             let addr = loaded
                 .try_addr(symbol)
                 .ok_or_else(|| format!("no symbol {symbol:?} in {}", built.image.name))?;
-            let context: usize =
-                args.value("context").unwrap_or("6").parse().map_err(|_| "bad --context")?;
+            let context = args.number("context").unwrap_or(6) as usize;
             print!("{}", context_around(&machine, &loaded, addr, context));
         }
         None => {
@@ -196,8 +192,8 @@ fn cmd_disasm(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_profile(args: &Args) -> Result<(), String> {
-    let name = args.value("app").unwrap_or("crc32");
-    let interval: u64 = args.value("interval").unwrap_or("2000").parse().map_err(|_| "bad --interval")?;
+    let name = args.text("app").unwrap_or("crc32");
+    let interval = args.number("interval").unwrap_or(2000);
     let image = if let Ok(host) = host_by_name(name) {
         standalone_image(host)
     } else if let Some(app) = BenignApp::ALL.into_iter().find(|a| a.name() == name) {
@@ -216,7 +212,7 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
         trace.outcome.cycles,
         trace.outcome.ipc()
     );
-    if let Some(path) = args.value("csv") {
+    if let Some(path) = args.text("csv") {
         let file = std::fs::File::create(path).map_err(|e| e.to_string())?;
         trace_to_csv_full(&trace, file).map_err(|e| e.to_string())?;
         println!("wrote all 56 counters to {path}");
@@ -225,8 +221,8 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_trace(args: &Args) -> Result<(), String> {
-    let host = host_by_name(args.value("host").unwrap_or("crc32"))?;
-    let limit: usize = args.value("limit").unwrap_or("40").parse().map_err(|_| "bad --limit")?;
+    let host = host_by_name(args.text("host").unwrap_or("crc32"))?;
+    let limit = args.number("limit").unwrap_or(40) as usize;
     let image = standalone_image(host);
     let mut machine = Machine::new(MachineConfig::default());
     let loaded = machine.load(&image).map_err(|e| e.to_string())?;
@@ -239,112 +235,30 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_campaign(args: &Args) -> Result<(), String> {
-    use cr_spectre::campaign::{fig4, fig5, fig6, table1, CampaignConfig, EvasionResult};
-    use cr_spectre::telemetry;
-    use cr_spectre::telemetry::sink::{JsonlSink, Sink, SummarySink};
-
-    let mut cfg =
-        if args.switch("quick") { CampaignConfig::smoke() } else { CampaignConfig::default() };
-    if args.switch("no-fast-path") {
-        // Escape hatch: run every machine on the uncached slow path.
-        // Results are bit-identical (the fastpath_equivalence suite pins
-        // this); the switch exists to prove it from the CLI.
-        cfg.machine.fast_path = false;
-    }
-    if args.switch("threads") {
-        return Err("--threads needs a value".to_string());
-    }
-    if let Some(raw) = args.value("threads") {
-        let threads: usize = raw.parse().map_err(|_| "bad --threads".to_string())?;
-        if threads == 0 {
-            return Err("--threads must be at least 1".to_string());
+    let selected = match args.text("artifact").unwrap_or("all") {
+        "all" => &artifacts::ARTIFACTS[..4],
+        name => {
+            let Some(i) = artifacts::ARTIFACTS.iter().position(|&a| a == name) else {
+                return Err(format!(
+                    "unknown artifact {name:?} ({} | all)",
+                    artifacts::ARTIFACTS.join(" | ")
+                ));
+            };
+            &artifacts::ARTIFACTS[i..=i]
         }
-        cfg.threads = threads;
-    }
-    let artifact = args.value("artifact").unwrap_or("all");
-    let wants = |name: &str| artifact == "all" || artifact == name;
-    if !["all", "fig4", "fig5", "fig6", "table1"].contains(&artifact) {
-        return Err(format!("unknown artifact {artifact:?} (fig4 | fig5 | fig6 | table1 | all)"));
-    }
-    let quiet = args.switch("quiet");
-    if args.switch("telemetry") {
-        return Err("--telemetry needs a path".to_string());
-    }
-    if let Some(path) = args.value("telemetry") {
-        // Recording is off by default; installing sinks turns it on for
-        // this run. Telemetry observes the campaign, it never feeds back:
-        // results are bit-identical with and without it.
-        let jsonl = JsonlSink::create(path)
-            .map_err(|e| format!("cannot create telemetry file {path:?}: {e}"))?;
-        let mut sinks: Vec<Box<dyn Sink>> = vec![Box::new(jsonl)];
-        if !quiet {
-            sinks.push(Box::new(SummarySink::new()));
-        }
-        telemetry::install(sinks);
-    }
-    if !quiet {
-        println!("campaign on {} worker thread(s)\n", cfg.threads);
-    }
-
-    let headline = |result: &EvasionResult| {
-        let spectre_mean = result.spectre.iter().map(|s| s.mean()).sum::<f64>()
-            / result.spectre.len().max(1) as f64;
-        let cr_min = result
-            .cr_spectre
-            .iter()
-            .flat_map(|s| s.accuracy.iter().copied())
-            .fold(f64::INFINITY, f64::min);
-        (spectre_mean, if cr_min.is_finite() { cr_min } else { 0.0 })
     };
-
-    if wants("fig4") {
-        let rows = fig4(&cfg);
-        let acc4: Vec<f64> = rows
-            .iter()
-            .filter_map(|r| r.accuracies.iter().find(|(s, _)| *s == 4).map(|&(_, a)| a))
-            .collect();
-        let mean4 = acc4.iter().sum::<f64>() / acc4.len().max(1) as f64;
-        println!("fig4  : {} hosts, mean accuracy at 4 features {:.1}%", rows.len(), mean4 * 100.0);
+    args.install_telemetry()?;
+    for (i, name) in selected.iter().enumerate() {
+        if i > 0 {
+            println!();
+        }
+        artifacts::run(name, args);
     }
-    if wants("fig5") {
-        let (spectre, cr) = headline(&fig5(&cfg));
-        println!(
-            "fig5  : offline HID — Spectre mean {:.1}%, CR-Spectre minimum {:.1}%",
-            spectre * 100.0,
-            cr * 100.0
-        );
-    }
-    if wants("fig6") {
-        let (spectre, cr) = headline(&fig6(&cfg));
-        println!(
-            "fig6  : online HID — Spectre mean {:.1}%, CR-Spectre minimum {:.1}%",
-            spectre * 100.0,
-            cr * 100.0
-        );
-    }
-    if wants("table1") {
-        let iterations = if args.switch("quick") { 1 } else { 5 };
-        let rows = table1(&cfg, iterations);
-        let n = rows.len().max(1) as f64;
-        let off = rows.iter().map(|r| r.overhead_offline()).sum::<f64>() / n;
-        let on = rows.iter().map(|r| r.overhead_online()).sum::<f64>() / n;
-        println!(
-            "table1: mean IPC overhead {:+.2}% offline, {:+.2}% online over {} hosts",
-            off * 100.0,
-            on * 100.0,
-            rows.len()
-        );
-    }
-    if !quiet {
-        println!(
-            "\nfull paper-style tables: cargo run --release -p cr-spectre-bench --bin <artifact>"
-        );
-    }
-    let _ = telemetry::shutdown();
+    let _ = cr_spectre::telemetry::shutdown();
     Ok(())
 }
 
-fn cmd_list() {
+fn cmd_list(_: &Args) -> Result<(), String> {
     println!("MiBench-like hosts:");
     for w in Mibench::ALL {
         println!("  {:<14} {}", w.name(), w.display_name());
@@ -354,8 +268,9 @@ fn cmd_list() {
         println!("  {}", a.name());
     }
     println!("\nsecret carried by every host: {:?}", String::from_utf8_lossy(SECRET));
-    println!("\nexperiment harnesses live in the bench crate:");
-    println!("  cargo run --release -p cr-spectre-bench --bin fig4|fig5|fig6|table1|ablations|defense_overhead");
+    println!("\npaper artifacts (tables as in results/):");
+    println!("  cr-spectre campaign --artifact {}", artifacts::ARTIFACTS.join("|"));
+    Ok(())
 }
 
 const USAGE: &str = "\
@@ -368,10 +283,10 @@ commands:
   disasm    disassemble a host image (--symbol S for a window)
   profile   profile a workload and optionally export CSV (--csv PATH)
   trace     print the first --limit executed instructions of a host
-  campaign  run the evaluation drivers (Figures 4-6, Table I) in parallel
-  list      list hosts and benign applications
+  campaign  print the paper's tables (Figures 4-6, Table I) and extensions
+  list      list hosts, benign applications and artifacts
 
-common options:
+attack / spectre options:
   --host H          target host (default bitcount_50m)
   --variant v1|rsb  speculation variant
   --perturb none|paper|evasive
@@ -381,16 +296,26 @@ common options:
   --no-fast-path    disable the execution fast path (predecode + page
                     caches); results are bit-identical, only slower
 
+gadgets: --host H, --max-len N (N >= 1, default 4), --limit N (default 40)
+disasm:  --host H, --symbol S, --context N (default 6)
+profile: --app NAME (default crc32), --interval N (N >= 1, default 2000),
+         --csv PATH
+trace:   --host H (default crc32), --limit N (default 40)
+
 campaign options:
-  --artifact A      fig4 | fig5 | fig6 | table1 | all (default all)
-  --threads N       worker threads (default: all cores; results are
-                    bit-identical at every thread count)
-  --quick           smoke-scale configuration
+  --artifact A      fig4 | fig5 | fig6 | table1 | ablations |
+                    defense_overhead | all (default all: the four paper
+                    artifacts)
+  --threads N       worker threads, N >= 1 (default: all cores; results
+                    are bit-identical at every thread count)
+  --quick           smoke-scale configuration (ablations and
+                    defense_overhead run at one fixed scale)
   --telemetry PATH  record a structured JSONL trace of the run (spans,
                     counters, histograms; off by default, and results
                     are bit-identical with it on)
-  --quiet           only final result lines; suppresses commentary and
-                    the telemetry summary report
+  --quiet           only result rows; suppresses the paper's claims, the
+                    commentary and the telemetry summary report
+  --no-fast-path    as above
 ";
 
 fn main() -> ExitCode {
@@ -399,33 +324,24 @@ fn main() -> ExitCode {
         eprint!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let args = match Args::parse(rest) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}\n");
-            eprint!("{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let result = match command.as_str() {
-        "attack" => cmd_attack(&args),
-        "spectre" => cmd_spectre(&args),
-        "gadgets" => cmd_gadgets(&args),
-        "disasm" => cmd_disasm(&args),
-        "profile" => cmd_profile(&args),
-        "trace" => cmd_trace(&args),
-        "campaign" => cmd_campaign(&args),
-        "list" => {
-            cmd_list();
-            Ok(())
-        }
+    type Command = fn(&Args) -> Result<(), String>;
+    let (spec, run): (&Spec, Command) = match command.as_str() {
+        "attack" => (ATTACK, cmd_attack),
+        "spectre" => (ATTACK, cmd_spectre),
+        "gadgets" => (GADGETS, cmd_gadgets),
+        "disasm" => (DISASM, cmd_disasm),
+        "profile" => (PROFILE, cmd_profile),
+        "trace" => (TRACE, cmd_trace),
+        "campaign" => (CAMPAIGN, cmd_campaign),
+        "list" => (&[], cmd_list),
         "help" | "--help" | "-h" => {
             print!("{USAGE}");
-            Ok(())
+            return ExitCode::SUCCESS;
         }
-        other => Err(format!("unknown command {other:?}")),
+        other => exit_with_usage(&format!("unknown command {other:?}"), USAGE),
     };
-    match result {
+    let args = Args::parse(rest, spec).unwrap_or_else(|e| exit_with_usage(&e, USAGE));
+    match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");

@@ -69,11 +69,9 @@ fn span_name(span: &Value) -> &str {
 #[test]
 fn cli_fig5_smoke_campaign_emits_valid_jsonl() {
     let (stdout, text) = traced_smoke_campaign("fig5");
-    assert!(stdout.contains("fig5"), "final result line survives --quiet: {stdout:?}");
-    assert!(
-        !stdout.contains("worker thread(s)"),
-        "--quiet suppresses commentary: {stdout:?}"
-    );
+    assert!(stdout.contains("Fig 5(b)"), "result table survives --quiet: {stdout:?}");
+    assert!(stdout.contains("measured: "), "final result line survives --quiet: {stdout:?}");
+    assert!(!stdout.contains("paper: "), "--quiet suppresses commentary: {stdout:?}");
 
     let lines: Vec<&str> = text.lines().collect();
     assert!(lines.len() > 10, "expected a real trace, got {} lines", lines.len());
@@ -167,7 +165,7 @@ fn cli_fig5_smoke_campaign_emits_valid_jsonl() {
 #[test]
 fn cli_fig6_smoke_campaign_traces_both_panels() {
     let (stdout, text) = traced_smoke_campaign("fig6");
-    assert!(stdout.contains("fig6"), "final result line survives --quiet: {stdout:?}");
+    assert!(stdout.contains("Fig 6(b)"), "result table survives --quiet: {stdout:?}");
     let spans = spans(&text);
     let count = |name: &str| spans.iter().filter(|s| span_name(s) == name).count();
     // Smoke scale: 3 attempts, 4 online HIDs, two panels.
