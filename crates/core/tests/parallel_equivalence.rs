@@ -7,6 +7,10 @@
 //! `Debug` formatting of `f64` round-trips every bit (Rust prints the
 //! shortest string that parses back exactly), so string equality here is
 //! bit equality of every accuracy, IPC, and overhead in the artifact.
+//!
+//! The serial rendering is also checked against a golden FNV-1a digest
+//! in `tests/golden/drivers.txt`. Serial-vs-parallel equality cannot
+//! see a change to code both sides share; the golden digest can.
 
 use cr_spectre_core::campaign::{fig4, fig5, fig6, table1, CampaignConfig};
 use cr_spectre_core::derive_seed;
@@ -17,11 +21,35 @@ fn tiny(threads: usize) -> CampaignConfig {
     CampaignConfig { threads, ..CampaignConfig::smoke() }
 }
 
+/// 64-bit FNV-1a, the digest `perfbench/src/digest.rs` records.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// Asserts that `rendered` hashes to the digest recorded for `driver`
+/// in `tests/golden/drivers.txt` (lines of `driver 0x<digest>`).
+fn assert_golden(driver: &str, rendered: &str) {
+    let observed = fnv1a(rendered.as_bytes());
+    let recorded = include_str!("golden/drivers.txt")
+        .lines()
+        .filter_map(|line| line.split_once(' '))
+        .find(|(name, _)| *name == driver)
+        .map(|(_, hex)| hex.trim());
+    assert_eq!(
+        recorded,
+        Some(format!("{observed:#018x}").as_str()),
+        "{driver}: observed digest {observed:#018x} differs from the golden record"
+    );
+}
+
 #[test]
 fn fig4_is_identical_serial_and_parallel() {
     let serial = format!("{:?}", fig4(&tiny(1)));
     let parallel = format!("{:?}", fig4(&tiny(4)));
     assert_eq!(serial, parallel);
+    assert_golden("fig4", &serial);
 }
 
 #[test]
@@ -29,6 +57,7 @@ fn fig5_is_identical_serial_and_parallel() {
     let serial = format!("{:?}", fig5(&tiny(1)));
     let parallel = format!("{:?}", fig5(&tiny(4)));
     assert_eq!(serial, parallel);
+    assert_golden("fig5", &serial);
 }
 
 #[test]
@@ -36,6 +65,7 @@ fn fig6_is_identical_serial_and_parallel() {
     let serial = format!("{:?}", fig6(&tiny(1)));
     let parallel = format!("{:?}", fig6(&tiny(4)));
     assert_eq!(serial, parallel);
+    assert_golden("fig6", &serial);
 }
 
 #[test]
@@ -43,6 +73,7 @@ fn table1_is_identical_serial_and_parallel() {
     let serial = format!("{:?}", table1(&tiny(1), 2));
     let parallel = format!("{:?}", table1(&tiny(4), 2));
     assert_eq!(serial, parallel);
+    assert_golden("table1", &serial);
 }
 
 /// Telemetry is observation-only: with a recorder installed, every
