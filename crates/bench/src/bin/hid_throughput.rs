@@ -39,7 +39,7 @@ impl Throughput {
 
 /// Deterministic two-cluster dataset, the shape of normalized counter
 /// windows (fig5 scale by default).
-fn clusters(n: usize, dim: usize, sep: f64, seed: u64) -> (Vec<Vec<f64>>, Vec<u8>) {
+fn clusters(n: usize, dim: usize, sep: f64, seed: u64) -> (Mat, Vec<u8>) {
     let mut state = seed | 1;
     let mut next = || {
         state ^= state << 13;
@@ -47,21 +47,24 @@ fn clusters(n: usize, dim: usize, sep: f64, seed: u64) -> (Vec<Vec<f64>>, Vec<u8
         state ^= state << 17;
         (state % 2000) as f64 / 1000.0 - 1.0
     };
-    let mut x = Vec::with_capacity(n);
+    let mut x = Mat::zeros(0, dim);
     let mut y = Vec::with_capacity(n);
+    let mut row = vec![0.0; dim];
     for i in 0..n {
         let label = (i % 2) as u8;
         let center = if label == 1 { sep } else { -sep };
-        x.push((0..dim).map(|_| center + next()).collect());
+        row.fill_with(|| center + next());
+        x.push_row(&row);
         y.push(label);
     }
     (x, y)
 }
 
 /// Best-of-`reps` training throughput of a freshly built model per rep.
+/// A reference model's time includes copying `x` into jagged rows.
 fn measure_train(
     build: &dyn Fn() -> Box<dyn Detector>,
-    x: &[Vec<f64>],
+    x: &Mat,
     y: &[u8],
     reps: u32,
 ) -> Throughput {
@@ -73,7 +76,7 @@ fn measure_train(
         let t0 = Instant::now();
         model.fit(x, y);
         let wall = t0.elapsed().as_secs_f64();
-        let t = Throughput { rows: x.len() as u64, wall_s: wall };
+        let t = Throughput { rows: x.rows() as u64, wall_s: wall };
         if best.as_ref().is_none_or(|b| t.rows_per_sec() > b.rows_per_sec()) {
             best = Some(t);
         }
@@ -82,12 +85,12 @@ fn measure_train(
 }
 
 /// Best-of-`reps` prediction throughput: `passes` full sweeps over the
-/// corpus per rep. The fast model scores through `predict_batch` over
-/// flat storage; the baseline through the seed's per-row `predict`.
+/// corpus per rep. The fast model scores through `predict_batch`
+/// (`batch`); the baseline through the seed's per-row `predict`.
 fn measure_predict(
     model: &dyn Detector,
-    x: &[Vec<f64>],
-    mat: Option<&Mat>,
+    x: &Mat,
+    batch: bool,
     passes: u32,
     reps: u32,
 ) -> Throughput {
@@ -96,14 +99,15 @@ fn measure_predict(
         let t0 = Instant::now();
         let mut flagged = 0usize;
         for _ in 0..passes {
-            match mat {
-                Some(m) => flagged += model.predict_batch(m).iter().filter(|&&p| p == 1).count(),
-                None => flagged += x.iter().filter(|row| model.predict(row) == 1).count(),
-            }
+            flagged += if batch {
+                model.predict_batch(x).iter().filter(|&&p| p == 1).count()
+            } else {
+                x.iter_rows().filter(|row| model.predict(row) == 1).count()
+            };
         }
         let wall = t0.elapsed().as_secs_f64();
         std::hint::black_box(flagged);
-        let t = Throughput { rows: (x.len() as u64) * u64::from(passes), wall_s: wall };
+        let t = Throughput { rows: (x.rows() as u64) * u64::from(passes), wall_s: wall };
         if best.as_ref().is_none_or(|b| t.rows_per_sec() > b.rows_per_sec()) {
             best = Some(t);
         }
@@ -158,12 +162,11 @@ fn measure_family(
     name: &'static str,
     build_fast: &dyn Fn() -> Box<dyn Detector>,
     build_base: &dyn Fn() -> Box<dyn Detector>,
-    x: &[Vec<f64>],
+    x: &Mat,
     y: &[u8],
     passes: u32,
     reps: u32,
 ) -> FamilyResult {
-    let mat = Mat::from_rows(x);
     let train_fast = measure_train(build_fast, x, y, reps);
     let train_base = measure_train(build_base, x, y, reps);
 
@@ -172,12 +175,12 @@ fn measure_family(
     let mut base = build_base();
     base.fit(x, y);
     // Before/after must agree before the numbers mean anything.
-    let fast_pred = fast.predict_batch(&mat);
-    let base_pred: Vec<u8> = x.iter().map(|row| base.predict(row)).collect();
+    let fast_pred = fast.predict_batch(x);
+    let base_pred: Vec<u8> = x.iter_rows().map(|row| base.predict(row)).collect();
     assert_eq!(fast_pred, base_pred, "{name}: fast and baseline predictions diverge");
 
-    let predict_fast = measure_predict(fast.as_ref(), x, Some(&mat), passes, reps);
-    let predict_base = measure_predict(base.as_ref(), x, None, passes, reps);
+    let predict_fast = measure_predict(fast.as_ref(), x, true, passes, reps);
+    let predict_base = measure_predict(base.as_ref(), x, false, passes, reps);
     let result = FamilyResult { name, train_fast, train_base, predict_fast, predict_base };
     args.note(&format!(
         "  {name:<4} train {:>10.0} -> {:>10.0} rows/s ({:.2}x)   predict {:>10.0} -> {:>10.0} rows/s ({:.2}x)",

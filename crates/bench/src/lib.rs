@@ -1,8 +1,8 @@
 //! # cr-spectre-bench
 //!
-//! Perf-regression harnesses and Criterion micro-benchmarks of the
-//! subsystems. The paper's tables themselves (Figures 4–6, Table I, the
-//! ablations and the defense-overhead extension) print through
+//! Perf-regression harnesses of the simulator and the HID. The paper's
+//! tables themselves (Figures 4–6, Table I, the ablations and the
+//! defense-overhead extension) print through
 //! `cargo run --release -- campaign --artifact X`.
 //!
 //! Binaries:

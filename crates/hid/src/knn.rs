@@ -55,9 +55,10 @@ impl Knn {
                 .map(|(i, xi)| (Knn::distance2(row, xi), i as u32)),
         );
         // Partial selection of the k smallest (distance, index) pairs.
-        dists.select_nth_unstable_by(k - 1, |a, b| {
-            a.0.partial_cmp(&b.0).expect("finite distances").then(a.1.cmp(&b.1))
-        });
+        // `total_cmp` orders finite distances as `<` does (sums of
+        // squares are never -0.0) and places NaNs at the ends instead
+        // of panicking on a corpus with a NaN row.
+        dists.select_nth_unstable_by(k - 1, |a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         let attacks = dists[..k]
             .iter()
             .filter(|&&(_, i)| self.y[i as usize] == 1)
@@ -77,14 +78,7 @@ impl Detector for Knn {
         "kNN"
     }
 
-    fn fit(&mut self, x: &[Vec<f64>], y: &[u8]) {
-        assert_eq!(x.len(), y.len(), "features/labels mismatch");
-        assert!(!x.is_empty(), "cannot fit on no data");
-        self.x = Mat::from_rows(x);
-        self.y = y.to_vec();
-    }
-
-    fn fit_mat(&mut self, x: &Mat, y: &[u8]) {
+    fn fit(&mut self, x: &Mat, y: &[u8]) {
         assert_eq!(x.rows(), y.len(), "features/labels mismatch");
         assert!(x.rows() > 0, "cannot fit on no data");
         self.x = x.clone();
@@ -133,7 +127,7 @@ mod tests {
     #[test]
     fn k_larger_than_dataset_is_clamped() {
         let mut knn = Knn::with_k(99);
-        knn.fit(&[vec![0.0], vec![10.0]], &[0, 1]);
+        knn.fit(&Mat::from_rows(&[vec![0.0], vec![10.0]]), &[0, 1]);
         // With both neighbours voting, attacks*2 > k requires strict
         // majority — a tie votes benign.
         assert_eq!(knn.predict(&[5.0]), 0);
@@ -142,10 +136,10 @@ mod tests {
     /// The old implementation: full stable sort by distance, vote over
     /// the first k. The selection path must agree with it on every
     /// query, including exact distance ties from duplicated points.
-    fn full_sort_oracle(x: &[Vec<f64>], y: &[u8], k: usize, row: &[f64]) -> u8 {
-        let k = k.min(x.len());
+    fn full_sort_oracle(x: &Mat, y: &[u8], k: usize, row: &[f64]) -> u8 {
+        let k = k.min(x.rows());
         let mut dists: Vec<(f64, u8)> = x
-            .iter()
+            .iter_rows()
             .zip(y)
             .map(|(xi, &yi)| (Knn::distance2(row, xi), yi))
             .collect();
@@ -160,13 +154,14 @@ mod tests {
         // Inject exact duplicates with conflicting labels so distance
         // ties at the k boundary actually exercise the tie-break.
         for i in 0..20 {
-            x.push(x[i].clone());
+            let row = x.row(i).to_vec();
+            x.push_row(&row);
             y.push(1 - y[i]);
         }
         for k in [1, 3, 5, 7] {
             let mut knn = Knn::with_k(k);
             knn.fit(&x, &y);
-            for row in &x {
+            for row in x.iter_rows() {
                 assert_eq!(
                     knn.predict(row),
                     full_sort_oracle(&x, &y, k, row),
@@ -181,8 +176,8 @@ mod tests {
         let (x, y) = blobs(90, 3, 1.0, 59);
         let mut knn = Knn::new();
         knn.fit(&x, &y);
-        let batch = knn.predict_batch(&Mat::from_rows(&x));
-        let per_row: Vec<u8> = x.iter().map(|r| knn.predict(r)).collect();
+        let batch = knn.predict_batch(&x);
+        let per_row: Vec<u8> = x.iter_rows().map(|r| knn.predict(r)).collect();
         assert_eq!(batch, per_row);
     }
 

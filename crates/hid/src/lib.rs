@@ -10,12 +10,17 @@
 //! * [`net::DenseNet::mlp`] — the 3-layer "MLP (Sklearn)" classifier;
 //! * [`net::DenseNet::nn6`] — the 6-layer ReLU "NN (TensorFlow)" network;
 //! * [`logreg::LogisticRegression`] — "LR";
-//! * [`svm::LinearSvm`] — linear-kernel "SVM".
+//! * [`svm::LinearSvm`] — linear-kernel "SVM";
 //!
-//! The deployed wrapper [`detector::Hid`] owns the normalizer and (for
-//! online mode) the growing training corpus, and exposes the paper's
-//! metrics: test accuracy (Figure 4) and per-attempt detection rate
-//! (Figures 5–6), with the 55 % evasion / 80 % detection thresholds.
+//! plus [`tree::DecisionTree`] ("DT") and [`knn::Knn`] ("kNN") for the
+//! ablations.
+//!
+//! Every family trains through the one [`Detector::fit`] entry point on
+//! a row-major [`linalg::Mat`]. The deployed wrapper [`detector::Hid`]
+//! owns the [`linalg::Normalizer`] and (for online mode) the growing
+//! training corpus, one raw `Mat`, and exposes the paper's metrics:
+//! test accuracy (Figure 4) and per-attempt detection rate (Figures
+//! 5–6), with the 55 % evasion / 80 % detection thresholds.
 //!
 //! # Example
 //!
@@ -49,7 +54,7 @@ pub mod tree;
 
 pub use detector::{Detector, Hid, HidKind, HidMode, DETECTED_THRESHOLD, EVADED_THRESHOLD};
 pub use knn::Knn;
-pub use linalg::Mat;
+pub use linalg::{Mat, Normalizer};
 pub use logreg::LogisticRegression;
 pub use net::DenseNet;
 pub use svm::LinearSvm;

@@ -3,8 +3,8 @@
 //! trees; provided here as an additional [`Detector`] family.
 //!
 //! Training runs natively over the flat [`Mat`] layout
-//! ([`DecisionTree::fit_mat`]); the split search is identical arithmetic
-//! to the seed's jagged-row version, just over contiguous rows.
+//! ([`Detector::fit`]); the split search is identical arithmetic to the
+//! seed's jagged-row version, just over contiguous rows.
 
 use crate::detector::Detector;
 use crate::linalg::Mat;
@@ -85,7 +85,10 @@ fn best_split(idx: &[usize], x: &Mat, y: &[u8]) -> Option<(usize, f64)> {
         // Candidate thresholds: midpoints between sorted distinct values.
         values.clear();
         values.extend(idx.iter().map(|&i| x.row(i)[feature]));
-        values.sort_by(|a, b| a.partial_cmp(b).expect("finite features"));
+        // `total_cmp` agrees with `<` on every non-NaN value but -0.0 vs
+        // +0.0, which dedup merges and which give the same midpoints; a
+        // NaN sorts to an end instead of panicking.
+        values.sort_by(f64::total_cmp);
         values.dedup();
         for pair in values.windows(2) {
             let threshold = (pair[0] + pair[1]) / 2.0;
@@ -126,11 +129,7 @@ impl Detector for DecisionTree {
         "DT"
     }
 
-    fn fit(&mut self, x: &[Vec<f64>], y: &[u8]) {
-        self.fit_mat(&Mat::from_rows(x), y);
-    }
-
-    fn fit_mat(&mut self, x: &Mat, y: &[u8]) {
+    fn fit(&mut self, x: &Mat, y: &[u8]) {
         assert_eq!(x.rows(), y.len(), "features/labels mismatch");
         assert!(x.rows() > 0, "cannot fit on no data");
         let idx: Vec<usize> = (0..x.rows()).collect();
@@ -183,7 +182,7 @@ mod tests {
 
     #[test]
     fn pure_nodes_become_leaves() {
-        let x = vec![vec![0.0], vec![1.0], vec![2.0]];
+        let x = Mat::from_rows(&[vec![0.0], vec![1.0], vec![2.0]]);
         let y = vec![0, 0, 0];
         let mut tree = DecisionTree::new();
         tree.fit(&x, &y);

@@ -14,16 +14,15 @@
 //! only.
 
 use cr_spectre_hid::detector::{Detector, Hid, HidKind, HidMode};
-use cr_spectre_hid::linalg::Mat;
+use cr_spectre_hid::linalg::{Mat, Normalizer};
 use cr_spectre_hid::reference::{RefDenseNet, RefKnn, RefLinearSvm, RefLogisticRegression};
-use cr_spectre_hid::{DenseNet, Knn, LinearSvm, LogisticRegression};
+use cr_spectre_hid::{DecisionTree, DenseNet, Knn, LinearSvm, LogisticRegression};
 use cr_spectre_hpc::dataset::{Dataset, Label};
-use cr_spectre_hpc::features::Normalizer;
 use cr_spectre_telemetry as telemetry;
 
 /// Deterministic two-cluster dataset with per-dimension jitter, roughly
 /// the shape of normalized counter windows.
-fn clusters(n: usize, dim: usize, sep: f64, seed: u64) -> (Vec<Vec<f64>>, Vec<u8>) {
+fn clusters(n: usize, dim: usize, sep: f64, seed: u64) -> (Mat, Vec<u8>) {
     let mut state = seed | 1;
     let mut next = || {
         state ^= state << 13;
@@ -31,24 +30,26 @@ fn clusters(n: usize, dim: usize, sep: f64, seed: u64) -> (Vec<Vec<f64>>, Vec<u8
         state ^= state << 17;
         (state % 2000) as f64 / 1000.0 - 1.0
     };
-    let mut x = Vec::with_capacity(n);
+    let mut x = Mat::zeros(0, dim);
     let mut y = Vec::with_capacity(n);
+    let mut row = vec![0.0; dim];
     for i in 0..n {
         let label = (i % 2) as u8;
         let center = if label == 1 { sep } else { -sep };
-        x.push((0..dim).map(|_| center + next()).collect());
+        row.fill_with(|| center + next());
+        x.push_row(&row);
         y.push(label);
     }
     (x, y)
 }
 
 /// fig5/fig6 scale: 800 × 4.
-fn fig5_shape() -> (Vec<Vec<f64>>, Vec<u8>) {
+fn fig5_shape() -> (Mat, Vec<u8>) {
     clusters(800, 4, 1.5, 0xf165)
 }
 
 /// table1/fig4 scale: 240 × 16.
-fn table1_shape() -> (Vec<Vec<f64>>, Vec<u8>) {
+fn table1_shape() -> (Mat, Vec<u8>) {
     clusters(240, 16, 1.2, 0x7ab1)
 }
 
@@ -59,30 +60,30 @@ fn assert_bits_eq(a: &[f64], b: &[f64], what: &str) {
     }
 }
 
-fn check_logreg(x: &[Vec<f64>], y: &[u8], what: &str) {
+fn check_logreg(x: &Mat, y: &[u8], what: &str) {
     let mut fast = LogisticRegression::new();
     fast.fit(x, y);
     let mut seed = RefLogisticRegression::new();
     seed.fit(x, y);
     assert_bits_eq(fast.weights(), seed.weights(), &format!("{what}: LR weights"));
     assert_eq!(fast.bias().to_bits(), seed.bias().to_bits(), "{what}: LR bias");
-    let batch = fast.predict_batch(&Mat::from_rows(x));
-    for (i, row) in x.iter().enumerate() {
+    let batch = fast.predict_batch(x);
+    for (i, row) in x.iter_rows().enumerate() {
         assert_eq!(fast.predict(row), seed.predict(row), "{what}: LR row {i}");
         assert_eq!(batch[i], seed.predict(row), "{what}: LR batch row {i}");
     }
     assert!(fast.accuracy(x, y) == seed.accuracy(x, y), "{what}: LR accuracy");
 }
 
-fn check_svm(x: &[Vec<f64>], y: &[u8], what: &str) {
+fn check_svm(x: &Mat, y: &[u8], what: &str) {
     let mut fast = LinearSvm::new();
     fast.fit(x, y);
     let mut seed = RefLinearSvm::new();
     seed.fit(x, y);
     assert_bits_eq(fast.weights(), seed.weights(), &format!("{what}: SVM weights"));
     assert_eq!(fast.bias().to_bits(), seed.bias().to_bits(), "{what}: SVM bias");
-    let batch = fast.predict_batch(&Mat::from_rows(x));
-    for (i, row) in x.iter().enumerate() {
+    let batch = fast.predict_batch(x);
+    for (i, row) in x.iter_rows().enumerate() {
         assert_eq!(fast.predict(row), seed.predict(row), "{what}: SVM row {i}");
         assert_eq!(batch[i], seed.predict(row), "{what}: SVM batch row {i}");
     }
@@ -92,7 +93,7 @@ fn check_svm(x: &[Vec<f64>], y: &[u8], what: &str) {
 fn check_net(
     mut fast: DenseNet,
     mut seed: RefDenseNet,
-    x: &[Vec<f64>],
+    x: &Mat,
     y: &[u8],
     what: &str,
 ) {
@@ -108,8 +109,8 @@ fn check_net(
     for (l, (fb, sb)) in fast.layer_biases().iter().zip(seed.biases()).enumerate() {
         assert_bits_eq(fb, sb, &format!("{what}: layer {l} biases"));
     }
-    let batch = fast.predict_batch(&Mat::from_rows(x));
-    for (i, row) in x.iter().enumerate() {
+    let batch = fast.predict_batch(x);
+    for (i, row) in x.iter_rows().enumerate() {
         assert_eq!(
             fast.predict_proba(row).to_bits(),
             seed.predict_proba(row).to_bits(),
@@ -120,19 +121,19 @@ fn check_net(
     assert!(fast.accuracy(x, y) == seed.accuracy(x, y), "{what}: accuracy");
 }
 
-fn check_knn(x: &[Vec<f64>], y: &[u8], what: &str) {
+fn check_knn(x: &Mat, y: &[u8], what: &str) {
     let mut fast = Knn::new();
     fast.fit(x, y);
     let mut seed = RefKnn::new();
     seed.fit(x, y);
-    let batch = fast.predict_batch(&Mat::from_rows(x));
-    for (i, row) in x.iter().enumerate() {
+    let batch = fast.predict_batch(x);
+    for (i, row) in x.iter_rows().enumerate() {
         assert_eq!(fast.predict(row), seed.predict(row), "{what}: kNN row {i}");
         assert_eq!(batch[i], seed.predict(row), "{what}: kNN batch row {i}");
     }
 }
 
-fn check_all(x: &[Vec<f64>], y: &[u8], what: &str) {
+fn check_all(x: &Mat, y: &[u8], what: &str) {
     check_logreg(x, y, what);
     check_svm(x, y, what);
     check_net(DenseNet::mlp(), RefDenseNet::mlp(), x, y, &format!("{what} MLP"));
@@ -187,25 +188,30 @@ fn bit_identical_with_telemetry_enabled() {
 fn hid_pipeline_matches_reference_pipeline() {
     let (x, y) = fig5_shape();
     let mut train = Dataset::new();
-    for (row, &label) in x.iter().zip(&y) {
+    for (row, &label) in x.iter_rows().zip(&y) {
         train.push_row(
-            row.clone(),
+            row.to_vec(),
             if label == 1 { Label::Attack } else { Label::Benign },
         );
     }
     let (probe, _) = clusters(160, 4, 1.5, 0x9e37);
+    let probe: Vec<Vec<f64>> = probe.iter_rows().map(<[f64]>::to_vec).collect();
 
     let normalizer = Normalizer::fit(&x);
     let mut normalized = x.clone();
-    normalizer.apply_all(&mut normalized);
+    normalizer.apply(normalized.as_mut_slice());
 
-    for kind in HidKind::ALL {
+    for kind in HidKind::ALL.into_iter().chain([HidKind::Tree, HidKind::Knn]) {
         let hid = Hid::train(kind, HidMode::Offline, train.clone());
+        // The tree has no seed oracle; its own model still checks the
+        // pipeline around it.
         let mut reference: Box<dyn Detector> = match kind {
             HidKind::Mlp => Box::new(RefDenseNet::mlp()),
             HidKind::Nn => Box::new(RefDenseNet::nn6()),
             HidKind::Lr => Box::new(RefLogisticRegression::new()),
             HidKind::Svm => Box::new(RefLinearSvm::new()),
+            HidKind::Tree => Box::new(DecisionTree::new()),
+            HidKind::Knn => Box::new(RefKnn::new()),
         };
         reference.fit(&normalized, &y);
         let batch = hid.classify_batch(&probe);

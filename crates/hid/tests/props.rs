@@ -58,10 +58,11 @@ proptest! {
     #[test]
     fn all_models_fit_separable_data(seed in any::<u64>()) {
         let data = separable(120, 3, 4.0, seed);
+        let x = Mat::from_rows(&data.x);
         for kind in HidKind::ALL {
             let mut model = kind.build();
-            model.fit(&data.x, &data.y);
-            let acc = model.accuracy(&data.x, &data.y);
+            model.fit(&x, &data.y);
+            let acc = model.accuracy(&x, &data.y);
             prop_assert!(acc > 0.9, "{}: {}", kind.name(), acc);
         }
     }
@@ -71,14 +72,15 @@ proptest! {
     #[test]
     fn prediction_is_pure(seed in any::<u64>(), probe in proptest::collection::vec(-5.0f64..5.0, 3)) {
         let data = separable(60, 3, 3.0, seed);
+        let x = Mat::from_rows(&data.x);
         let mut lr = LogisticRegression::new();
-        lr.fit(&data.x, &data.y);
+        lr.fit(&x, &data.y);
         prop_assert_eq!(lr.predict(&probe), lr.predict(&probe));
         let mut svm = LinearSvm::new();
-        svm.fit(&data.x, &data.y);
+        svm.fit(&x, &data.y);
         prop_assert_eq!(svm.predict(&probe), svm.predict(&probe));
         let mut net = DenseNet::mlp();
-        net.fit(&data.x, &data.y);
+        net.fit(&x, &data.y);
         prop_assert_eq!(net.predict(&probe), net.predict(&probe));
     }
 
@@ -225,8 +227,9 @@ proptest! {
         let mut slow = RefDenseNet::new("slow", hidden);
         fast.epochs = 4;
         slow.epochs = 4;
-        fast.fit(&data.x, &data.y);
-        slow.fit(&data.x, &data.y);
+        let x = Mat::from_rows(&data.x);
+        fast.fit(&x, &data.y);
+        slow.fit(&x, &data.y);
         prop_assert_eq!(fast.layers().len(), slow.weights().len());
         for (l, (w, w_ref)) in fast.layers().iter().zip(slow.weights()).enumerate() {
             for (j, row_ref) in w_ref.iter().enumerate() {
@@ -237,6 +240,36 @@ proptest! {
             for (j, (b, b_ref)) in fast.layer_biases()[l].iter().zip(&slow.biases()[l]).enumerate() {
                 prop_assert_eq!(b.to_bits(), b_ref.to_bits(), "b[{}][{}]", l, j);
             }
+        }
+    }
+}
+
+/// Every family, the ablations' DT and kNN included, trains through
+/// [`Hid::train`] on degenerate corpora without panicking and scores a
+/// detection rate in [0, 1]: a NaN row, a constant column, and a
+/// single-class label set.
+#[test]
+fn every_kind_survives_degenerate_corpora() {
+    let mut nan_row = separable(40, 2, 3.0, 7);
+    nan_row.x[5] = vec![f64::NAN, 1.0];
+    let mut constant_column = separable(40, 2, 3.0, 11);
+    for row in &mut constant_column.x {
+        row[1] = 4.0;
+    }
+    let mut single_class = Dataset::new();
+    for row in separable(40, 2, 3.0, 13).x {
+        single_class.push_row(row, Label::Attack);
+    }
+    let probe = separable(20, 2, 3.0, 17).x;
+    for (name, corpus) in [
+        ("NaN row", nan_row),
+        ("constant column", constant_column),
+        ("single class", single_class),
+    ] {
+        for kind in HidKind::ALL.into_iter().chain([HidKind::Tree, HidKind::Knn]) {
+            let hid = Hid::train(kind, HidMode::Offline, corpus.clone());
+            let rate = hid.detection_rate(&probe);
+            assert!((0.0..=1.0).contains(&rate), "{kind} on {name}: rate {rate}");
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Feature selection and normalization.
+//! Feature selection.
 //!
 //! The paper monitors a subset of the 56 offline-collected events in real
 //! time ("a limit is imposed on the number of events counted
@@ -132,93 +132,6 @@ pub fn rank_by_fisher(
     scores
 }
 
-/// Per-column z-score normalizer, fit on training data only.
-#[derive(Debug, Clone)]
-pub struct Normalizer {
-    mean: Vec<f64>,
-    std: Vec<f64>,
-}
-
-impl Normalizer {
-    /// Fits column means and standard deviations on `rows`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `rows` is empty or rows have inconsistent widths.
-    pub fn fit(rows: &[Vec<f64>]) -> Normalizer {
-        assert!(!rows.is_empty(), "cannot fit a normalizer on no data");
-        let dim = rows[0].len();
-        let n = rows.len() as f64;
-        let mut mean = vec![0.0; dim];
-        for row in rows {
-            assert_eq!(row.len(), dim, "inconsistent feature width");
-            for (m, v) in mean.iter_mut().zip(row) {
-                *m += v;
-            }
-        }
-        for m in &mut mean {
-            *m /= n;
-        }
-        let mut var = vec![0.0; dim];
-        for row in rows {
-            for ((s, v), m) in var.iter_mut().zip(row).zip(&mean) {
-                *s += (v - m) * (v - m);
-            }
-        }
-        let std = var
-            .into_iter()
-            .map(|s| {
-                let sd = (s / n).sqrt();
-                if sd < 1e-12 {
-                    1.0
-                } else {
-                    sd
-                }
-            })
-            .collect();
-        Normalizer { mean, std }
-    }
-
-    /// Normalizes one row in place.
-    pub fn apply(&self, row: &mut [f64]) {
-        for ((v, m), s) in row.iter_mut().zip(&self.mean).zip(&self.std) {
-            *v = (*v - m) / s;
-        }
-    }
-
-    /// Normalizes a whole matrix in place.
-    pub fn apply_all(&self, rows: &mut [Vec<f64>]) {
-        for row in rows {
-            self.apply(row);
-        }
-    }
-
-    /// Normalizes a row-major matrix of [`Normalizer::dim`]-wide rows in
-    /// place — the same per-row arithmetic as [`Normalizer::apply`], over
-    /// contiguous storage.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `data.len()` is not a multiple of the fitted
-    /// dimension.
-    pub fn apply_flat(&self, data: &mut [f64]) {
-        let dim = self.dim();
-        if dim == 0 {
-            assert!(data.is_empty(), "flat matrix width mismatch");
-            return;
-        }
-        assert_eq!(data.len() % dim, 0, "flat matrix width mismatch");
-        for row in data.chunks_exact_mut(dim) {
-            self.apply(row);
-        }
-    }
-
-    /// The feature dimension.
-    pub fn dim(&self) -> usize {
-        self.mean.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,53 +192,5 @@ mod tests {
             &[vec![1.0], vec![2.0]],
             &[0, 0],
         );
-    }
-
-    #[test]
-    fn normalizer_zero_means_unit_std() {
-        let rows = vec![vec![1.0, 10.0], vec![3.0, 30.0], vec![5.0, 50.0]];
-        let norm = Normalizer::fit(&rows);
-        let mut m = rows.clone();
-        norm.apply_all(&mut m);
-        for col in 0..2 {
-            let mean: f64 = m.iter().map(|r| r[col]).sum::<f64>() / 3.0;
-            let var: f64 = m.iter().map(|r| (r[col] - mean).powi(2)).sum::<f64>() / 3.0;
-            assert!(mean.abs() < 1e-12);
-            assert!((var - 1.0).abs() < 1e-9);
-        }
-        assert_eq!(norm.dim(), 2);
-    }
-
-    #[test]
-    fn apply_flat_matches_apply_all() {
-        let rows = vec![vec![1.0, 10.0], vec![3.0, 30.0], vec![5.0, 50.0]];
-        let norm = Normalizer::fit(&rows);
-        let mut jagged = rows.clone();
-        norm.apply_all(&mut jagged);
-        let mut flat: Vec<f64> = rows.concat();
-        norm.apply_flat(&mut flat);
-        for (i, (a, b)) in jagged.concat().iter().zip(&flat).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "element {i}");
-        }
-        let mut empty: Vec<f64> = Vec::new();
-        norm.apply_flat(&mut empty);
-        assert!(empty.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "width mismatch")]
-    fn apply_flat_rejects_wrong_width() {
-        let norm = Normalizer::fit(&[vec![1.0, 2.0]]);
-        norm.apply_flat(&mut [1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn constant_column_does_not_divide_by_zero() {
-        let rows = vec![vec![7.0], vec![7.0]];
-        let norm = Normalizer::fit(&rows);
-        let mut row = vec![7.0];
-        norm.apply(&mut row);
-        assert!(row[0].is_finite());
-        assert_eq!(row[0], 0.0);
     }
 }

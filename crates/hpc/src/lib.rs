@@ -6,7 +6,7 @@
 //! * [`profiler`] — step a machine and record per-window deltas of all 56
 //!   PMU counters;
 //! * [`features`] — the paper's ranked feature sets (sizes 1/2/4/8/16)
-//!   and train-fit z-score normalization;
+//!   and Fisher-score ranking;
 //! * [`dataset`] — labelled sample matrices with the paper's seeded
 //!   70/30 train/test split.
 //!
@@ -38,5 +38,5 @@ pub mod features;
 pub mod profiler;
 
 pub use dataset::{Dataset, Label};
-pub use features::{FeatureSet, Normalizer};
+pub use features::FeatureSet;
 pub use profiler::{profile, Sample, Trace};

@@ -12,9 +12,8 @@ use cr_spectre::campaign::{
 use cr_spectre::cli::Args;
 use cr_spectre::hid::detector::{Hid, HidKind, HidMode};
 use cr_spectre::hid::metrics::Confusion;
-use cr_spectre::hid::{DecisionTree, Detector, Knn};
 use cr_spectre::hpc::dataset::{Dataset, Label};
-use cr_spectre::hpc::features::{rank_by_fisher, FeatureSet, Normalizer};
+use cr_spectre::hpc::features::{rank_by_fisher, FeatureSet};
 use cr_spectre::perturb::PerturbParams;
 use cr_spectre::sim::config::MachineConfig;
 use cr_spectre::spectre::SpectreVariant;
@@ -251,23 +250,16 @@ fn print_ablations(threads: usize, args: &Args) {
         let mut train = build_training_data(&cfg, &Mibench::FIG4_HOSTS, &features);
         let noise2 = NoiseModel::fit(&train.x, cfg.noise_strength);
         noise2.apply(&mut train.x, cfg.seed, 19);
-        let norm = Normalizer::fit(&train.x);
-        let mut x = train.x.clone();
-        norm.apply_all(&mut x);
-        let mut models: Vec<Box<dyn Detector>> =
-            vec![Box::new(DecisionTree::new()), Box::new(Knn::new())];
-        for model in &mut models {
-            model.fit(&x, &train.y);
+        for kind in [HidKind::Tree, HidKind::Knn] {
+            let hid = Hid::train(kind, HidMode::Offline, train.clone());
             let rate = |outcome: &AttackOutcome, tag: u64| {
                 let mut rows = outcome.attack_rows(&features);
                 noise2.apply(&mut rows, cfg.seed, tag);
-                norm.apply_all(&mut rows);
-                let hits = rows.iter().filter(|r| model.predict(r) == 1).count();
-                hits as f64 / rows.len().max(1) as f64
+                hid.detection_rate(&rows)
             };
             println!(
                 "  {:<4} plain Spectre {:>5.1}%   perturbed CR-Spectre {:>5.1}%",
-                model.name(),
+                kind.name(),
                 rate(&plain, 23) * 100.0,
                 rate(&perturbed, 29) * 100.0
             );

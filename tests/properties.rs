@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use cr_spectre::hpc::dataset::{Dataset, Label};
-use cr_spectre::hpc::features::Normalizer;
+use cr_spectre::hid::{Mat, Normalizer};
 use cr_spectre::rop::payload::{cyclic, cyclic_find, PayloadBuilder};
 use cr_spectre::sim::cache::{Cache, CacheConfig};
 use cr_spectre::sim::config::MachineConfig;
@@ -153,11 +153,11 @@ proptest! {
             2..50,
         )
     ) {
-        let norm = Normalizer::fit(&rows);
-        let mut out = rows.clone();
-        norm.apply_all(&mut out);
+        let mut out = Mat::from_rows(&rows);
+        let norm = Normalizer::fit(&out);
+        norm.apply(out.as_mut_slice());
         for col in 0..3 {
-            let mean: f64 = out.iter().map(|r| r[col]).sum::<f64>() / out.len() as f64;
+            let mean: f64 = out.iter_rows().map(|r| r[col]).sum::<f64>() / out.rows() as f64;
             prop_assert!(mean.abs() < 1e-6, "column {} mean {}", col, mean);
         }
     }
