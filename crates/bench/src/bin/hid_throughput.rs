@@ -11,6 +11,10 @@
 //! exactly (the full bit-identity contract is locked by
 //! `crates/hid/tests/fastmath_equivalence.rs`).
 //!
+//! Each rate is reported as the median, minimum and maximum over its
+//! repetitions (speedups are ratios of medians), next to the host's
+//! core count, CPU model and `rustc` version.
+//!
 //! Flags: `--quick` (smaller corpus, fewer reps), `--quiet` (result
 //! lines only), `--telemetry PATH` (JSONL trace) and `--out PATH`
 //! (default `BENCH_hid.json`).
@@ -25,15 +29,33 @@ use cr_spectre_hid::linalg::Mat;
 use cr_spectre_hid::reference::{RefDenseNet, RefKnn, RefLinearSvm, RefLogisticRegression};
 use cr_spectre_hid::{DenseNet, Knn, LinearSvm, LogisticRegression};
 
-/// One measured configuration: rows pushed through per wall-clock second.
+/// One measured configuration: the rows/sec of each repetition.
 struct Throughput {
+    /// Rows pushed through per repetition.
     rows: u64,
-    wall_s: f64,
+    /// Rows per wall-clock second, one entry per repetition, sorted.
+    rates: Vec<f64>,
 }
 
 impl Throughput {
-    fn rows_per_sec(&self) -> f64 {
-        self.rows as f64 / self.wall_s
+    fn new(rows: u64, mut rates: Vec<f64>) -> Throughput {
+        assert!(!rates.is_empty(), "at least one rep");
+        rates.sort_by(f64::total_cmp);
+        Throughput { rows, rates }
+    }
+
+    /// Median rate (the mean of the two middle reps for an even count).
+    fn median(&self) -> f64 {
+        let n = self.rates.len();
+        (self.rates[(n - 1) / 2] + self.rates[n / 2]) / 2.0
+    }
+
+    fn min(&self) -> f64 {
+        self.rates[0]
+    }
+
+    fn max(&self) -> f64 {
+        self.rates[self.rates.len() - 1]
     }
 }
 
@@ -60,8 +82,9 @@ fn clusters(n: usize, dim: usize, sep: f64, seed: u64) -> (Mat, Vec<u8>) {
     (x, y)
 }
 
-/// Best-of-`reps` training throughput of a freshly built model per rep.
-/// A reference model's time includes copying `x` into jagged rows.
+/// Training throughput of a freshly built model per rep, after one
+/// warm-up fit. A reference model's time includes copying `x` into
+/// jagged rows.
 fn measure_train(
     build: &dyn Fn() -> Box<dyn Detector>,
     x: &Mat,
@@ -69,24 +92,21 @@ fn measure_train(
     reps: u32,
 ) -> Throughput {
     let mut warm = build();
-    warm.fit(x, y); // warmup
-    let mut best: Option<Throughput> = None;
-    for _ in 0..reps {
-        let mut model = build();
-        let t0 = Instant::now();
-        model.fit(x, y);
-        let wall = t0.elapsed().as_secs_f64();
-        let t = Throughput { rows: x.rows() as u64, wall_s: wall };
-        if best.as_ref().is_none_or(|b| t.rows_per_sec() > b.rows_per_sec()) {
-            best = Some(t);
-        }
-    }
-    best.expect("at least one rep")
+    warm.fit(x, y);
+    let rates = (0..reps)
+        .map(|_| {
+            let mut model = build();
+            let t0 = Instant::now();
+            model.fit(x, y);
+            x.rows() as f64 / t0.elapsed().as_secs_f64()
+        })
+        .collect();
+    Throughput::new(x.rows() as u64, rates)
 }
 
-/// Best-of-`reps` prediction throughput: `passes` full sweeps over the
-/// corpus per rep. The fast model scores through `predict_batch`
-/// (`batch`); the baseline through the seed's per-row `predict`.
+/// Prediction throughput: `passes` full sweeps over the corpus per rep.
+/// The fast model scores through `predict_batch` (`batch`); the
+/// baseline through the seed's per-row `predict`.
 fn measure_predict(
     model: &dyn Detector,
     x: &Mat,
@@ -94,33 +114,34 @@ fn measure_predict(
     passes: u32,
     reps: u32,
 ) -> Throughput {
-    let mut best: Option<Throughput> = None;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let mut flagged = 0usize;
-        for _ in 0..passes {
-            flagged += if batch {
-                model.predict_batch(x).iter().filter(|&&p| p == 1).count()
-            } else {
-                x.iter_rows().filter(|row| model.predict(row) == 1).count()
-            };
-        }
-        let wall = t0.elapsed().as_secs_f64();
-        std::hint::black_box(flagged);
-        let t = Throughput { rows: (x.rows() as u64) * u64::from(passes), wall_s: wall };
-        if best.as_ref().is_none_or(|b| t.rows_per_sec() > b.rows_per_sec()) {
-            best = Some(t);
-        }
-    }
-    best.expect("at least one rep")
+    let rows = (x.rows() as u64) * u64::from(passes);
+    let rates = (0..reps)
+        .map(|_| {
+            let t0 = Instant::now();
+            let mut flagged = 0usize;
+            for _ in 0..passes {
+                flagged += if batch {
+                    model.predict_batch(x).iter().filter(|&&p| p == 1).count()
+                } else {
+                    x.iter_rows().filter(|row| model.predict(row) == 1).count()
+                };
+            }
+            let wall = t0.elapsed().as_secs_f64();
+            std::hint::black_box(flagged);
+            rows as f64 / wall
+        })
+        .collect();
+    Throughput::new(rows, rates)
 }
 
 fn json_entry(t: &Throughput) -> String {
     format!(
-        "{{\"rows_per_sec\": {:.1}, \"rows\": {}, \"wall_s\": {:.6}}}",
-        t.rows_per_sec(),
+        "{{\"rows_per_sec\": {{\"median\": {:.1}, \"min\": {:.1}, \"max\": {:.1}}}, \"reps\": {}, \"rows\": {}}}",
+        t.median(),
+        t.min(),
+        t.max(),
+        t.rates.len(),
         t.rows,
-        t.wall_s
     )
 }
 
@@ -133,12 +154,14 @@ struct FamilyResult {
 }
 
 impl FamilyResult {
+    /// Ratio of the median rates.
     fn train_speedup(&self) -> f64 {
-        self.train_fast.rows_per_sec() / self.train_base.rows_per_sec()
+        self.train_fast.median() / self.train_base.median()
     }
 
+    /// Ratio of the median rates.
     fn predict_speedup(&self) -> f64 {
-        self.predict_fast.rows_per_sec() / self.predict_base.rows_per_sec()
+        self.predict_fast.median() / self.predict_base.median()
     }
 
     fn json(&self) -> String {
@@ -184,11 +207,11 @@ fn measure_family(
     let result = FamilyResult { name, train_fast, train_base, predict_fast, predict_base };
     args.note(&format!(
         "  {name:<4} train {:>10.0} -> {:>10.0} rows/s ({:.2}x)   predict {:>10.0} -> {:>10.0} rows/s ({:.2}x)",
-        result.train_base.rows_per_sec(),
-        result.train_fast.rows_per_sec(),
+        result.train_base.median(),
+        result.train_fast.median(),
         result.train_speedup(),
-        result.predict_base.rows_per_sec(),
-        result.predict_fast.rows_per_sec(),
+        result.predict_base.median(),
+        result.predict_fast.median(),
         result.predict_speedup(),
     ));
     result
@@ -215,7 +238,7 @@ fn main() {
 
     // fig5 scale (800 × 4) at full size; --quick shrinks the corpus and
     // the rep counts but keeps every family and both directions.
-    let (n, passes, reps) = if quick { (240, 20, 2) } else { (800, 50, 3) };
+    let (n, passes, reps) = if quick { (240, 20, 3) } else { (800, 50, 5) };
     let (x, y) = clusters(n, 4, 1.5, 0xb1d0);
 
     args.note(&format!("HID math-core throughput, {n} rows x 4 features:"));
@@ -257,9 +280,10 @@ fn main() {
 
     let body: Vec<String> = results.iter().map(FamilyResult::json).collect();
     let json = format!(
-        "{{\n  \"bench\": \"hid_throughput\",\n  \"quick\": {},\n  \"rows\": {},\n  \"dim\": 4,\n{}\n}}\n",
+        "{{\n  \"bench\": \"hid_throughput\",\n  \"quick\": {},\n  \"rows\": {},\n  \"dim\": 4,\n  \"host\": {},\n{}\n}}\n",
         quick,
         n,
+        cr_spectre_bench::host_json(),
         body.join(",\n"),
     );
     std::fs::write(out_path, &json)
@@ -269,11 +293,11 @@ fn main() {
         println!(
             "{}: train {:.0} -> {:.0} rows/s ({:.2}x), predict {:.0} -> {:.0} rows/s ({:.2}x)",
             r.name,
-            r.train_base.rows_per_sec(),
-            r.train_fast.rows_per_sec(),
+            r.train_base.median(),
+            r.train_fast.median(),
             r.train_speedup(),
-            r.predict_base.rows_per_sec(),
-            r.predict_fast.rows_per_sec(),
+            r.predict_base.median(),
+            r.predict_fast.median(),
             r.predict_speedup(),
         );
     }

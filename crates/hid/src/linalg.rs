@@ -6,11 +6,10 @@
 //!   original jagged `Vec<Vec<f64>>` implementations were written
 //!   against — kept verbatim, because they define the reference
 //!   floating-point evaluation order;
-//! * the flat math core ([`Mat`], [`Normalizer`], [`Scratch`],
-//!   [`gemm_nt`], [`matvec_into`]) the HID runs on: one contiguous
-//!   row-major allocation per matrix, cache-blocked GEMM over one
-//!   lockstep dot-product kernel, and a buffer arena so training epochs
-//!   allocate nothing.
+//! * the flat math core ([`Mat`], [`Normalizer`], [`gemm_nt`],
+//!   [`matvec_into`]) the HID runs on: one contiguous row-major
+//!   allocation per matrix and cache-blocked GEMM over one lockstep
+//!   dot-product kernel.
 //!
 //! **Bit-exactness contract:** every element any flat routine produces
 //! is computed by the *same* inner k-order fold as [`dot`], from the
@@ -349,43 +348,6 @@ pub fn matvec_into(m: &Mat, x: &[f64], out: &mut [f64]) {
     matvec_lanes(m.as_slice(), x, out);
 }
 
-/// A free-list arena of reusable `f64` buffers.
-///
-/// Training loops take their activation/gradient buffers from a
-/// `Scratch` once per fit; nothing inside an epoch allocates. Returned
-/// buffers keep their capacity, so a retrain at the same shape is
-/// allocation-free end to end.
-#[derive(Debug, Default)]
-pub struct Scratch {
-    pool: Vec<Vec<f64>>,
-}
-
-impl Scratch {
-    /// An empty arena.
-    pub fn new() -> Scratch {
-        Scratch::default()
-    }
-
-    /// Hands out a zeroed buffer of length `len`, reusing a pooled
-    /// allocation when one is available.
-    pub fn take(&mut self, len: usize) -> Vec<f64> {
-        let mut buf = self.pool.pop().unwrap_or_default();
-        buf.clear();
-        buf.resize(len, 0.0);
-        buf
-    }
-
-    /// Returns a buffer to the pool for reuse.
-    pub fn put(&mut self, buf: Vec<f64>) {
-        self.pool.push(buf);
-    }
-
-    /// Buffers currently pooled (diagnostics).
-    pub fn pooled(&self) -> usize {
-        self.pool.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -599,19 +561,5 @@ mod tests {
         let mut out = vec![0.0; 3];
         matvec_into(&m, &[3.0, 4.0], &mut out);
         assert_eq!(out, vec![5.0, 8.75, 7.0]);
-    }
-
-    #[test]
-    fn scratch_reuses_buffers() {
-        let mut s = Scratch::new();
-        let mut a = s.take(8);
-        a[0] = 7.0;
-        let ptr = a.as_ptr();
-        s.put(a);
-        assert_eq!(s.pooled(), 1);
-        let b = s.take(4);
-        assert_eq!(b, vec![0.0; 4], "recycled buffers are zeroed");
-        assert_eq!(b.as_ptr(), ptr, "allocation is reused");
-        assert_eq!(s.pooled(), 0);
     }
 }

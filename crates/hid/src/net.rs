@@ -4,13 +4,15 @@
 //!
 //! The implementation runs on the flat math core of [`crate::linalg`]:
 //! each layer's weights are one row-major [`Mat`] (`weights[l]` row `j`
-//! is output unit `j`'s fan-in), training reuses a [`Scratch`]-backed
-//! set of activation/gradient buffers so no epoch allocates, each
+//! is output unit `j`'s fan-in), each fit allocates its
+//! activation/gradient buffers once so no epoch allocates, each
 //! training sample is forwarded through the lockstep kernel of
-//! [`matvec_into`], and [`DenseNet::predict_batch`] forwards the whole
-//! batch through [`gemm_nt`]. Every dot product keeps the seed
-//! implementation's inner k-order and starting value, and the backward
-//! upstream sums keep the seed's j-order, so weights and predictions
+//! [`matvec_into`] and propagated back block by block of input units
+//! with the upstream sums held in registers, and
+//! [`DenseNet::predict_batch`] forwards the whole batch through
+//! [`gemm_nt`]. Every dot product keeps the seed implementation's inner
+//! k-order and starting value, and the backward upstream sums keep the
+//! seed's j-order, so weights and predictions
 //! are bit-identical to the jagged `Vec<Vec<Vec<f64>>>` original (kept
 //! as [`crate::reference::RefDenseNet`] and locked by
 //! `tests/fastmath_equivalence.rs`).
@@ -21,9 +23,7 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use crate::detector::Detector;
-use crate::linalg::{
-    gemm_nt, matvec_into, relu, relu_grad, sigmoid, sum_identity, Mat, Scratch,
-};
+use crate::linalg::{gemm_nt, matvec_into, relu, relu_grad, sigmoid, sum_identity, Mat};
 
 /// A dense network with ReLU hidden layers and a single sigmoid output,
 /// trained with per-sample SGD on binary cross-entropy.
@@ -44,8 +44,8 @@ pub struct DenseNet {
 }
 
 /// Preallocated per-fit working set: activations, pre-activations and
-/// the two delta buffers, all drawn from one [`Scratch`] arena up
-/// front so the per-sample loop never allocates.
+/// the two delta buffers, allocated once up front so the per-sample
+/// loop never allocates.
 struct NetScratch {
     /// `acts[0]` is the input copy; `acts[l + 1]` layer `l`'s output.
     acts: Vec<Vec<f64>>,
@@ -57,13 +57,12 @@ struct NetScratch {
 
 impl NetScratch {
     fn for_sizes(sizes: &[usize]) -> NetScratch {
-        let mut arena = Scratch::new();
         let widest = sizes.iter().copied().max().unwrap_or(0);
         NetScratch {
-            acts: sizes.iter().map(|&n| arena.take(n)).collect(),
-            zs: sizes[1..].iter().map(|&n| arena.take(n)).collect(),
-            delta: arena.take(widest),
-            prev_delta: arena.take(widest),
+            acts: sizes.iter().map(|&n| vec![0.0; n]).collect(),
+            zs: sizes[1..].iter().map(|&n| vec![0.0; n]).collect(),
+            delta: vec![0.0; widest],
+            prev_delta: vec![0.0; widest],
         }
     }
 }
@@ -173,39 +172,39 @@ impl DenseNet {
         for l in (0..layers).rev() {
             // Propagate through the pre-update weights, then take the
             // gradient step — the seed's order. Both happen in one pass
-            // over each weight row: `w[j][i]` is read into the upstream
-            // sum just before its own update. The upstream sums
-            // accumulate column-wise, over j in ascending order from
-            // `dot`'s starting value, so each `prev_delta[i]` is the
-            // seed's `Σ_j d_j · w[j][i]` fold bit for bit, without the
-            // strided column walk.
-            let propagate = l > 0;
+            // over the weights, block by block of input units (see
+            // `backward_block`); the bias step depends on no sum.
             let (w, bias, input) = (&mut self.weights[l], &mut self.biases[l], &s.acts[l]);
-            s.prev_delta.clear();
-            if propagate {
-                s.prev_delta.resize(w.cols(), sum_identity());
-            }
-            for (j, &d) in s.delta.iter().enumerate() {
-                // `lr * d * a` parses as `(lr * d) * a`: hoisting the
-                // step changes no bit.
-                let step = self.learning_rate * d;
-                let row = w.row_mut(j);
-                if propagate {
-                    for ((up, wv), &a) in s.prev_delta.iter_mut().zip(row).zip(input) {
-                        *up += d * *wv;
-                        *wv -= step * a;
-                    }
-                } else {
-                    for (wv, &a) in row.iter_mut().zip(input) {
-                        *wv -= step * a;
-                    }
+            let lr = self.learning_rate;
+            if l > 0 {
+                let cols = w.cols();
+                s.prev_delta.clear();
+                s.prev_delta.resize(cols, 0.0);
+                let mut i0 = 0;
+                while cols - i0 >= 8 {
+                    backward_block::<8>(w, &s.delta, lr, input, &mut s.prev_delta, i0);
+                    i0 += 8;
                 }
-                bias[j] -= step;
-            }
-            if propagate {
+                if cols - i0 >= 4 {
+                    backward_block::<4>(w, &s.delta, lr, input, &mut s.prev_delta, i0);
+                    i0 += 4;
+                }
+                for i in i0..cols {
+                    backward_block::<1>(w, &s.delta, lr, input, &mut s.prev_delta, i);
+                }
                 for (up, &z) in s.prev_delta.iter_mut().zip(&s.zs[l - 1]) {
                     *up *= relu_grad(z);
                 }
+            } else {
+                for (j, &d) in s.delta.iter().enumerate() {
+                    let step = lr * d;
+                    for (wv, &a) in w.row_mut(j).iter_mut().zip(input) {
+                        *wv -= step * a;
+                    }
+                }
+            }
+            for (b, &d) in bias.iter_mut().zip(&s.delta) {
+                *b -= lr * d;
             }
             std::mem::swap(&mut s.delta, &mut s.prev_delta);
         }
@@ -218,6 +217,40 @@ impl DenseNet {
         self.forward_scratch(row, &mut s);
         *s.acts.last().expect("output layer").first().expect("output unit")
     }
+}
+
+/// One SGD step's backward pass over input units `i0..i0 + B` of one
+/// weight layer: `up[i] = Σ_j d_j · w[j][i]` over the pre-update
+/// weights, and `w[j][i] -= (lr · d_j) · a_i`.
+///
+/// The `B` upstream sums stay in registers while `j` walks the layer's
+/// output units, so no sum round-trips through memory between two
+/// rows. Each sum starts from [`sum_identity`] and adds `d_j · w[j][i]`
+/// in ascending `j`, reading each weight just before its own update:
+/// the seed's column fold over pre-update weights, bit for bit. The
+/// step `lr * d * a` parses as `(lr * d) * a`, so hoisting `lr · d` per
+/// row changes no bit either.
+#[inline(always)]
+fn backward_block<const B: usize>(
+    w: &mut Mat,
+    delta: &[f64],
+    lr: f64,
+    input: &[f64],
+    up: &mut [f64],
+    i0: usize,
+) {
+    let cols = w.cols();
+    let a: [f64; B] = input[i0..i0 + B].try_into().expect("block inside the layer");
+    let mut sums = [sum_identity(); B];
+    for (row, &d) in w.as_mut_slice().chunks_exact_mut(cols).zip(delta) {
+        let step = lr * d;
+        let wb: &mut [f64; B] = (&mut row[i0..i0 + B]).try_into().expect("block inside the row");
+        for t in 0..B {
+            sums[t] += d * wb[t];
+            wb[t] -= step * a[t];
+        }
+    }
+    up[i0..i0 + B].copy_from_slice(&sums);
 }
 
 impl Detector for DenseNet {

@@ -212,34 +212,54 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The flat DenseNet trains to bit-identical weights and biases as
-    /// the seed network at layer widths that are not multiples of the
-    /// kernel's lane count (the paper's shapes all are), so every lane
-    /// tail of the forward kernel and every column count of the
-    /// backward upstream sum is exercised.
+    /// the seed network at random layer widths up to 40 and input dims
+    /// up to 17 (the paper's shapes are all multiples of four), so the
+    /// forward kernel's lane tails and the backward pass's 8-, 4- and
+    /// 1-wide blocks run in every mix.
     #[test]
     fn dense_net_matches_reference_at_any_width(
-        hidden in proptest::collection::vec(1usize..14, 1..=3),
-        dim in 1usize..7,
+        hidden in proptest::collection::vec(1usize..41, 1..=3),
+        dim in 1usize..18,
         seed in any::<u64>(),
     ) {
-        let data = separable(48, dim, 1.5, seed);
-        let mut fast = DenseNet::new("fast", hidden.clone());
-        let mut slow = RefDenseNet::new("slow", hidden);
-        fast.epochs = 4;
-        slow.epochs = 4;
-        let x = Mat::from_rows(&data.x);
-        fast.fit(&x, &data.y);
-        slow.fit(&x, &data.y);
-        prop_assert_eq!(fast.layers().len(), slow.weights().len());
-        for (l, (w, w_ref)) in fast.layers().iter().zip(slow.weights()).enumerate() {
-            for (j, row_ref) in w_ref.iter().enumerate() {
-                for (i, v) in row_ref.iter().enumerate() {
-                    prop_assert_eq!(w.row(j)[i].to_bits(), v.to_bits(), "w[{}][{}][{}]", l, j, i);
-                }
+        assert_dense_net_matches_reference(hidden, dim, seed);
+    }
+}
+
+/// Every upstream width from 1 to 40 — each count of full 8-blocks
+/// from none to five, with every 4- and 1-wide tail after it — in both
+/// propagating layers, trained bit for bit against the seed network.
+#[test]
+fn dense_net_matches_reference_at_every_width_to_40() {
+    for w in 1..=40 {
+        assert_dense_net_matches_reference(vec![w, 41 - w], 1 + w % 17, w as u64);
+    }
+}
+
+/// Trains `DenseNet` and `RefDenseNet` for four epochs on the same data
+/// and asserts every weight and bias bit-identical.
+fn assert_dense_net_matches_reference(hidden: Vec<usize>, dim: usize, seed: u64) {
+    let data = separable(48, dim, 1.5, seed);
+    let mut fast = DenseNet::new("fast", hidden.clone());
+    let mut slow = RefDenseNet::new("slow", hidden.clone());
+    fast.epochs = 4;
+    slow.epochs = 4;
+    let x = Mat::from_rows(&data.x);
+    fast.fit(&x, &data.y);
+    slow.fit(&x, &data.y);
+    assert_eq!(fast.layers().len(), slow.weights().len());
+    for (l, (w, w_ref)) in fast.layers().iter().zip(slow.weights()).enumerate() {
+        for (j, row_ref) in w_ref.iter().enumerate() {
+            for (i, v) in row_ref.iter().enumerate() {
+                assert_eq!(
+                    w.row(j)[i].to_bits(),
+                    v.to_bits(),
+                    "{hidden:?} dim {dim}: w[{l}][{j}][{i}]"
+                );
             }
-            for (j, (b, b_ref)) in fast.layer_biases()[l].iter().zip(&slow.biases()[l]).enumerate() {
-                prop_assert_eq!(b.to_bits(), b_ref.to_bits(), "b[{}][{}]", l, j);
-            }
+        }
+        for (j, (b, b_ref)) in fast.layer_biases()[l].iter().zip(&slow.biases()[l]).enumerate() {
+            assert_eq!(b.to_bits(), b_ref.to_bits(), "{hidden:?} dim {dim}: b[{l}][{j}]");
         }
     }
 }
